@@ -119,11 +119,11 @@ void DistinctSweep(BenchContext& ctx, Stack& s) {
     uint64_t bytes[4] = {0, 0, 0, 0};
     int slot = 0;
     for (const std::vector<Row>* set : {&rows, &shuffled}) {
+      const FlatPage flat = FlatPage::FromRows(*set, schema, 0, set->size());
       for (CompressionKind kind :
            {CompressionKind::kRle, CompressionKind::kBitmap}) {
         const std::unique_ptr<Codec> codec = MakeCodec(kind, schema, *set);
-        const PackResult packed = PackPages(*set, schema, *codec);
-        bytes[slot++] = packed.payload_bytes;
+        bytes[slot++] = PackPages(flat, *codec).payload_bytes;
       }
     }
     const std::string key = "[d=" + std::to_string(d) + "]";

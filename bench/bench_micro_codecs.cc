@@ -8,7 +8,9 @@
 //   - encode+blob: EncodeRows -> CompressPage(EncodedPage) — what the page
 //     packer used to run per size probe (per-field strings + a real blob);
 //   - measure: MeasurePage over a FlatSpan — the zero-copy size-only kernel
-//     the packer runs now. Its allocation counters (page_allocs /
+//     behind the packer's default prefix sizer (PAGE packs through its
+//     incremental sizer, checked against this kernel in
+//     tests/prefix_sizer_test.cc). Its allocation counters (page_allocs /
 //     allocs_per_row, via src/common/alloc_tracker) are deterministic and
 //     gate in the perf-trajectory CI job; wall times stay report-only.
 //
@@ -95,8 +97,8 @@ void Run(BenchContext& ctx) {
     const double decompress_us =
         TimeUsPerCall([&] { codec->DecompressPage(blob); });
 
-    // Allocation cost of one size probe, old world vs new: the packer used
-    // to EncodeRows + CompressPage per probe; now it measures a flat span.
+    // Allocation cost of one whole-page size, blob path vs size-only path:
+    // EncodeRows + CompressPage against MeasurePage over a flat span.
     uint64_t a0 = AllocCount();
     {
       const EncodedPage probe = EncodeRows(rows, schema, 0, rows.size());

@@ -5,6 +5,28 @@
 #include "compress/varint.h"
 
 namespace capd {
+namespace {
+
+// The default sizer: every query is a full MeasurePage of the prefix.
+class MeasuringPrefixSizer : public PrefixSizer {
+ public:
+  MeasuringPrefixSizer(const Codec& codec, const FlatSpan& span)
+      : codec_(&codec), span_(span) {}
+
+  uint64_t SizeOf(size_t k) override {
+    return codec_->MeasurePage(span_.first(k));
+  }
+
+ private:
+  const Codec* codec_;
+  FlatSpan span_;
+};
+
+}  // namespace
+
+std::unique_ptr<PrefixSizer> Codec::NewPrefixSizer(const FlatSpan& span) const {
+  return std::make_unique<MeasuringPrefixSizer>(*this, span);
+}
 
 void Codec::ValidateSpan(const FlatSpan& span) const {
   CAPD_CHECK_EQ(span.num_columns(), num_columns());

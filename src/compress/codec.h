@@ -8,12 +8,15 @@
 //     DecompressPage);
 //   - MeasurePage(span):  the exact blob size in bytes WITHOUT building it.
 //     MeasurePage(s) == CompressPage(s).size() for every codec and span —
-//     the size-only path is what the page packer and SampleCF drive, so the
-//     estimation hot loop never materializes compressed output at all.
+//     the size-only path is what SampleCF drives, so the estimation hot
+//     loop never materializes compressed output at all.
+// The page packer sizes prefixes of one span through NewPrefixSizer, whose
+// SizeOf(k) equals MeasurePage of the span's first k rows.
 #ifndef CAPD_COMPRESS_CODEC_H_
 #define CAPD_COMPRESS_CODEC_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +26,15 @@
 #include "storage/encoding.h"
 
 namespace capd {
+
+// Exact sizes of the prefixes of one span, for the page packer's probes.
+// SizeOf(k) == MeasurePage(span.first(k)) for every k in [0, rows], queried
+// in any order. Not thread-safe; valid while the span's FlatPage lives.
+class PrefixSizer {
+ public:
+  virtual ~PrefixSizer() = default;
+  virtual uint64_t SizeOf(size_t k) = 0;
+};
 
 class Codec {
  public:
@@ -45,6 +57,11 @@ class Codec {
   virtual uint64_t MeasurePage(const FlatSpan& span) const = 0;
 
   virtual EncodedPage DecompressPage(std::string_view blob) const = 0;
+
+  // Sizer over the prefixes of `span`. The default calls MeasurePage per
+  // query; codecs whose size can be kept up row by row override it.
+  virtual std::unique_ptr<PrefixSizer> NewPrefixSizer(
+      const FlatSpan& span) const;
 
   // Legacy row-major entry point: flattens and delegates. Byte-identical to
   // compressing the equivalent FlatSpan.

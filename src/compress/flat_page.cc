@@ -21,6 +21,11 @@ FlatSpan FlatPage::span(size_t begin, size_t end) const {
   return FlatSpan(this, begin, end - begin);
 }
 
+FlatSpan FlatSpan::first(size_t k) const {
+  CAPD_CHECK_LE(k, rows_);
+  return FlatSpan(page_, begin_, k);
+}
+
 FlatPage FlatPage::FromRows(const std::vector<Row>& rows, const Schema& schema,
                             size_t begin, size_t end) {
   CAPD_CHECK_LE(begin, end);

@@ -29,9 +29,9 @@ using FieldView = std::string_view;
 class FlatPage;
 
 // Cheap view of the contiguous row range [begin, begin+rows) of a FlatPage.
-// This is what the codecs consume: slicing is O(1), so the page packer's
-// exponential/binary size probes re-measure overlapping ranges without ever
-// re-encoding a field.
+// This is what the codecs consume: slicing is O(1), so the page packer can
+// hand each page's remaining rows to a codec's prefix sizer
+// (Codec::NewPrefixSizer) without copying or re-encoding a field.
 class FlatSpan {
  public:
   FlatSpan() = default;
@@ -42,6 +42,9 @@ class FlatSpan {
   size_t num_columns() const;
   uint32_t width(size_t c) const;
   const std::vector<uint32_t>& widths() const;
+
+  // View of the span's first k rows (k <= num_rows()).
+  FlatSpan first(size_t k) const;
 
   // Cell (span-local row r, column c) as a view into the page arena.
   FieldView field(size_t r, size_t c) const;

@@ -1,6 +1,8 @@
 #include "compress/page_codec.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string_view>
 #include <utility>
@@ -57,6 +59,150 @@ struct ColumnPlan {
   }
 };
 
+// One column's share of MeasurePage, kept up to date as rows are appended.
+// Values are counted by their full field bytes: under a shared anchor,
+// equality and lexicographic order of the remainders match those of the
+// full values, so only the remainders' NS sizes depend on the anchor. The
+// anchor length only shrinks; each shrink recomputes those sizes over the
+// column's distinct values.
+class ColumnSizer {
+ public:
+  void Append(FieldView v) {
+    if (distinct_.empty()) {
+      anchor_ = v;
+      anchor_len_ = v.size();
+    } else {
+      size_t len = 0;
+      while (len < anchor_len_ && v[len] == anchor_[len]) ++len;
+      if (len < anchor_len_) ShrinkAnchor(len);
+    }
+    if (2 * (distinct_.size() + 1) > slots_.size()) {
+      Rehash(std::max<size_t>(16, 2 * slots_.size()));
+    }
+    uint32_t& slot = Slot(v);
+    if (slot == 0) {  // first occurrence: a literal cell
+      const auto ns =
+          static_cast<uint32_t>(NsFieldSize(v.substr(anchor_len_)));
+      distinct_.push_back({v, 1, ns});
+      slot = static_cast<uint32_t>(distinct_.size());
+      ++literals_;
+      literal_ns_ += ns;
+      return;
+    }
+    const uint32_t index = slot - 1;
+    Distinct& d = distinct_[index];
+    if (d.count == 1) {  // second occurrence: joins the dictionary
+      --literals_;
+      literal_ns_ -= d.ns;
+      dict_ns_ += d.ns;
+      const size_t rank = Rank(v);
+      dict_.insert(dict_.begin() + rank, index);
+      code_bytes_ += 2 * VarintSize(rank + 1);
+      // Entries after `rank` moved up one id; the one that moved onto id
+      // t + 1 = 128^j now needs one more varint byte in each of its cells.
+      for (uint64_t t = 127; t < dict_.size(); t = 128 * t + 127) {
+        if (rank < t) code_bytes_ += distinct_[dict_[t]].count;
+      }
+    } else {  // one more cell of an entry; ids below 128 take one byte
+      code_bytes_ += dict_.size() < 128 ? 1 : VarintSize(Rank(v) + 1);
+    }
+    ++d.count;
+  }
+
+  // This column's bytes in MeasurePage of the rows appended so far.
+  uint64_t Size() const {
+    return VarintSize(anchor_len_) + anchor_len_ + VarintSize(dict_.size()) +
+           dict_ns_ + literals_ * VarintSize(0) + literal_ns_ + code_bytes_;
+  }
+
+ private:
+  struct Distinct {
+    FieldView value;
+    uint32_t count;
+    uint32_t ns;  // NsFieldSize of the post-anchor remainder
+  };
+
+  void ShrinkAnchor(size_t len) {
+    anchor_len_ = len;
+    literal_ns_ = 0;
+    dict_ns_ = 0;
+    for (Distinct& d : distinct_) {
+      d.ns = static_cast<uint32_t>(NsFieldSize(d.value.substr(len)));
+      (d.count == 1 ? literal_ns_ : dict_ns_) += d.ns;
+    }
+  }
+
+  // Number of dictionary entries lexicographically below v (v's id - 1 if
+  // v is an entry).
+  size_t Rank(FieldView v) const {
+    return std::lower_bound(dict_.begin(), dict_.end(), v,
+                            [this](uint32_t i, FieldView x) {
+                              return distinct_[i].value < x;
+                            }) -
+           dict_.begin();
+  }
+
+  // Open-addressed slot holding v's distinct index + 1, or the empty (0)
+  // slot where it belongs. The table is at most half full.
+  uint32_t& Slot(FieldView v) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = std::hash<FieldView>{}(v) & mask;; i = (i + 1) & mask) {
+      uint32_t& s = slots_[i];
+      if (s == 0 || distinct_[s - 1].value == v) return s;
+    }
+  }
+
+  void Rehash(size_t capacity) {
+    slots_.assign(capacity, 0);
+    for (size_t i = 0; i < distinct_.size(); ++i) {
+      Slot(distinct_[i].value) = static_cast<uint32_t>(i + 1);
+    }
+  }
+
+  FieldView anchor_;  // the first value appended
+  size_t anchor_len_ = 0;
+  std::vector<Distinct> distinct_;  // in first-occurrence order
+  std::vector<uint32_t> slots_;     // hash table over distinct_
+  std::vector<uint32_t> dict_;      // distinct_ indices, count >= 2, by value
+  uint64_t literals_ = 0;           // values seen once: one cell each
+  uint64_t literal_ns_ = 0;         // their NS remainder bytes
+  uint64_t dict_ns_ = 0;            // NS bytes of the dictionary entries
+  uint64_t code_bytes_ = 0;         // varint id bytes of dictionary cells
+};
+
+// Records MeasurePage of every prefix of the span, appending rows only as
+// far as the largest k queried.
+class PagePrefixSizer : public PrefixSizer {
+ public:
+  explicit PagePrefixSizer(const FlatSpan& span)
+      : span_(span), columns_(span.num_columns()) {
+    Record();
+  }
+
+  uint64_t SizeOf(size_t k) override {
+    CAPD_CHECK_LE(k, span_.num_rows());
+    while (sizes_.size() <= k) {
+      const size_t r = sizes_.size() - 1;
+      for (size_t c = 0; c < columns_.size(); ++c) {
+        columns_[c].Append(span_.field(r, c));
+      }
+      Record();
+    }
+    return sizes_[k];
+  }
+
+ private:
+  void Record() {
+    uint64_t total = VarintSize(sizes_.size());  // the row count
+    for (const ColumnSizer& col : columns_) total += col.Size();
+    sizes_.push_back(total);
+  }
+
+  FlatSpan span_;
+  std::vector<ColumnSizer> columns_;
+  std::vector<uint64_t> sizes_;  // sizes_[k]: MeasurePage of the first k rows
+};
+
 }  // namespace
 
 // Blob layout:
@@ -107,6 +253,12 @@ uint64_t PageCodec::MeasurePage(const FlatSpan& span) const {
     }
   }
   return total;
+}
+
+std::unique_ptr<PrefixSizer> PageCodec::NewPrefixSizer(
+    const FlatSpan& span) const {
+  ValidateSpan(span);
+  return std::make_unique<PagePrefixSizer>(span);
 }
 
 EncodedPage PageCodec::DecompressPage(std::string_view blob) const {

@@ -6,6 +6,10 @@
 // exactly the fragmentation effect the paper's ORD-DEP deduction models.
 // The dictionary is probed with interned slices (string_views into the flat
 // arena) — neither counting nor sizing copies a single field.
+//
+// NewPrefixSizer is incremental: it appends the span's rows one at a time
+// and keeps every prefix's exact MeasurePage size, so the page packer sizes
+// a page in one pass.
 #ifndef CAPD_COMPRESS_PAGE_CODEC_H_
 #define CAPD_COMPRESS_PAGE_CODEC_H_
 
@@ -25,6 +29,8 @@ class PageCodec : public Codec {
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
   EncodedPage DecompressPage(std::string_view blob) const override;
+  std::unique_ptr<PrefixSizer> NewPrefixSizer(
+      const FlatSpan& span) const override;
 };
 
 }  // namespace capd

@@ -28,10 +28,13 @@ std::vector<SampleCfResult> SampleCfEstimator::EstimateGroup(
   builder.set_max_materialize_rows(sample.num_rows());
 
   // The structure (object/keys/includes/filter/clustered-ness) is shared,
-  // so the materialized rows and the uncompressed reference pack are too.
+  // so the materialized rows, their flat rendering and the uncompressed
+  // reference pack are too.
   const std::vector<Row> rows = builder.MaterializeRows(defs.front());
-  const IndexPhysical plain =
-      builder.Pack(defs.front().WithCompression(CompressionKind::kNone), rows);
+  const FlatPage flat = FlatPage::FromRows(
+      rows, builder.StoredSchema(defs.front()), 0, rows.size());
+  const IndexPhysical plain = builder.Pack(
+      defs.front().WithCompression(CompressionKind::kNone), rows, flat);
   // The ORD-DEP estimate needs the null-suppression (kRow) pack as its
   // order-independent baseline; computed once for the whole group, lazily.
   std::optional<IndexPhysical> ns;
@@ -44,7 +47,7 @@ std::vector<SampleCfResult> SampleCfEstimator::EstimateGroup(
   for (const IndexDef& def : defs) {
     CAPD_CHECK(def.StructureSignature() == defs.front().StructureSignature())
         << def.ToString() << " vs " << defs.front().ToString();
-    const IndexPhysical compressed = builder.Pack(def, rows);
+    const IndexPhysical compressed = builder.Pack(def, rows, flat);
 
     SampleCfResult result;
     // Byte-granularity ratio: page counts quantize to 1 page on small
@@ -66,7 +69,8 @@ std::vector<SampleCfResult> SampleCfEstimator::EstimateGroup(
     result.est_bytes = result.est_uncompressed_bytes * result.cf;
     if (IsOrderDependent(def.compression)) {
       if (!ns.has_value()) {
-        ns = builder.Pack(def.WithCompression(CompressionKind::kRow), rows);
+        ns = builder.Pack(def.WithCompression(CompressionKind::kRow), rows,
+                          flat);
       }
       const double cf_ns =
           static_cast<double>(ns->fine_bytes()) /

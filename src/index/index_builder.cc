@@ -82,11 +82,19 @@ IndexPhysical IndexBuilder::Build(const IndexDef& def) const {
 
 IndexPhysical IndexBuilder::Pack(const IndexDef& def,
                                  const std::vector<Row>& rows) const {
-  const Schema stored = StoredSchema(def);
-  std::unique_ptr<Codec> codec = MakeCodec(def.compression, stored, rows);
+  return Pack(def, rows,
+              FlatPage::FromRows(rows, StoredSchema(def), 0, rows.size()));
+}
+
+IndexPhysical IndexBuilder::Pack(const IndexDef& def,
+                                 const std::vector<Row>& rows,
+                                 const FlatPage& flat) const {
+  CAPD_CHECK_EQ(flat.num_rows(), rows.size());
+  std::unique_ptr<Codec> codec =
+      MakeCodec(def.compression, StoredSchema(def), rows);
   IndexPhysical phys;
   phys.tuples = rows.size();
-  const PackResult packed = PackPages(rows, stored, *codec);
+  const PackResult packed = PackPages(flat, *codec);
   phys.data_pages = packed.pages;
   phys.payload_bytes = packed.payload_bytes;
   phys.overhead_bytes = codec->IndexOverheadBytes();
@@ -95,45 +103,47 @@ IndexPhysical IndexBuilder::Pack(const IndexDef& def,
 
 double IndexBuilder::TrueCompressionFraction(const IndexDef& def) const {
   const std::vector<Row> rows = MaterializeRows(def);
-  const IndexPhysical compressed = Pack(def, rows);
+  const FlatPage flat =
+      FlatPage::FromRows(rows, StoredSchema(def), 0, rows.size());
+  const IndexPhysical compressed = Pack(def, rows, flat);
   const IndexPhysical plain =
-      Pack(def.WithCompression(CompressionKind::kNone), rows);
+      Pack(def.WithCompression(CompressionKind::kNone), rows, flat);
   CAPD_CHECK_GT(plain.fine_bytes(), 0u);
   // Byte granularity: page counts quantize small indexes to CF = 1.
   return static_cast<double>(compressed.fine_bytes()) /
          static_cast<double>(plain.fine_bytes());
 }
 
-PackResult PackPages(const std::vector<Row>& rows, const Schema& schema,
-                     const Codec& codec) {
+PackResult PackPages(const FlatPage& flat, const Codec& codec) {
   PackResult result;
-  if (rows.empty()) {
+  const size_t n = flat.num_rows();
+  if (n == 0) {
     result.pages = 1;  // an index always has at least its root page
     return result;
   }
   uint64_t pages = 0;
   uint64_t payload = 0;
   size_t begin = 0;
-  const size_t n = rows.size();
-  // Zero-copy packing: render every field once into one flat columnar
-  // arena, then drive the probe loop through the size-only codec kernels.
-  // Each exponential/binary-search probe is a measurement over an O(1)
-  // span slice — no EncodedPage, no blob, no per-field strings.
-  const FlatPage flat = FlatPage::FromRows(rows, schema, 0, n);
-  auto blob_size = [&](size_t b, size_t e) {
-    return static_cast<size_t>(codec.MeasurePage(flat.span(b, e)));
-  };
   while (begin < n) {
+    // One sizer per page answers every probe below; PAGE's answers by
+    // lookup after one incremental pass over at most about twice the rows
+    // the page takes. The probe sequence assumes nothing about how size
+    // grows with the row count.
+    const std::unique_ptr<PrefixSizer> sizer =
+        codec.NewPrefixSizer(flat.span(begin, n));
+    auto blob_size = [&](size_t rows) {
+      return static_cast<size_t>(sizer->SizeOf(rows));
+    };
     // Exponential probe for an upper bound on rows that fit.
     size_t lo = 1;  // we always place at least one row per page
     size_t hi = 1;
-    while (begin + hi <= n && blob_size(begin, begin + hi) <= kPageCapacity) {
+    while (begin + hi <= n && blob_size(hi) <= kPageCapacity) {
       if (begin + hi == n) break;
       lo = hi;
       hi = hi * 2;
     }
     size_t take;
-    if (blob_size(begin, begin + std::min(hi, n - begin)) <= kPageCapacity) {
+    if (blob_size(std::min(hi, n - begin)) <= kPageCapacity) {
       take = std::min(hi, n - begin);
     } else {
       // Binary search in (lo, hi): lo fits, hi does not.
@@ -141,7 +151,7 @@ PackResult PackPages(const std::vector<Row>& rows, const Schema& schema,
       size_t good = lo;
       while (good + 1 < bad) {
         const size_t mid = good + (bad - good) / 2;
-        if (blob_size(begin, begin + mid) <= kPageCapacity) {
+        if (blob_size(mid) <= kPageCapacity) {
           good = mid;
         } else {
           bad = mid;
@@ -149,7 +159,7 @@ PackResult PackPages(const std::vector<Row>& rows, const Schema& schema,
       }
       take = good;
     }
-    const size_t sz = blob_size(begin, begin + take);
+    const size_t sz = blob_size(take);
     payload += sz;
     if (take == 1 && sz > kPageCapacity) {
       // One giant row: spill across multiple pages.

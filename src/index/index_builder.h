@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "compress/codec.h"
+#include "compress/flat_page.h"
 #include "index/index_def.h"
 #include "storage/table.h"
 
@@ -57,6 +58,11 @@ class IndexBuilder {
   // Packs pre-materialized rows (must match StoredSchema(def)). Avoids
   // re-sorting when measuring several compression variants of one index.
   IndexPhysical Pack(const IndexDef& def, const std::vector<Row>& rows) const;
+  // Same, over `flat`: the rows already rendered under StoredSchema(def),
+  // so several variants of one index share one rendering. `rows` still
+  // feeds codecs that are built from the whole index (global dictionary).
+  IndexPhysical Pack(const IndexDef& def, const std::vector<Row>& rows,
+                     const FlatPage& flat) const;
 
   // Exact compression fraction: size(compressed variant)/size(uncompressed).
   double TrueCompressionFraction(const IndexDef& def) const;
@@ -66,15 +72,15 @@ class IndexBuilder {
   uint64_t max_materialize_rows_ = 0;
 };
 
-// Greedy page packing: fills each page with the longest row prefix whose
-// compressed blob fits kPageCapacity (exponential probe + binary search).
+// Greedy page packing of the rendered rows: fills each page with the
+// longest row prefix whose compressed blob fits kPageCapacity (exponential
+// probe + binary search, answered by one Codec::NewPrefixSizer per page).
 // Oversized single rows spill across ceil(size/capacity) pages.
 struct PackResult {
   uint64_t pages = 0;
   uint64_t payload_bytes = 0;  // sum of per-page blob sizes
 };
-PackResult PackPages(const std::vector<Row>& rows, const Schema& schema,
-                     const Codec& codec);
+PackResult PackPages(const FlatPage& flat, const Codec& codec);
 
 }  // namespace capd
 

@@ -269,13 +269,13 @@ TEST(EdgeCaseParser, RobustToMalformedInput) {
 }
 
 TEST(EdgeCaseCodec, OversizedSingleRowSpills) {
-  // A row wider than a page must spill across multiple pages, not loop.
+  // Rows a sizable fraction of a page wide must pack a few per page, not
+  // loop. Rows wider than a whole page (33+ columns of 250 bytes) are
+  // packed directly by PackPagesTest.OversizedSingleRowsSpill in
+  // prefix_sizer_test.cc, which checks that each spills across
+  // ceil(size / capacity) pages.
   Table t("wide", Schema({{"s1", ValueType::kString, 250},
                           {"s2", ValueType::kString, 250}}));
-  // 33 columns of 250 bytes would be needed to exceed 8096; instead use
-  // many rows of a two-column schema and verify packing stays sane, plus a
-  // direct PackPages check with a tiny capacity scenario is impossible —
-  // so verify the builder handles near-page-width rows.
   for (int i = 0; i < 40; ++i) {
     t.AddRow({Value::String(std::string(240, static_cast<char>('a' + i % 26))),
               Value::String(std::string(240, static_cast<char>('A' + i % 26)))});

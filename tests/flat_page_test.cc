@@ -3,7 +3,8 @@
 // MeasurePage(s) == CompressPage(s).size() contract for every codec across
 // widths and null densities (including width-255 and all-zero fields), and
 // the randomized compress->decompress round-trip property on the same
-// matrix. Also the NS width>255 CHECK death tests.
+// matrix, plus the PAGE corner shapes of page_shapes.h. Also the NS
+// width>255 CHECK death tests.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "compress/codec_factory.h"
 #include "compress/flat_page.h"
 #include "compress/null_suppression.h"
+#include "page_shapes.h"
 
 namespace capd {
 namespace {
@@ -223,6 +225,27 @@ TEST_P(MeasureEqualsCompress, AllZeroFields) {
   const std::string blob = codec->CompressPage(flat);
   EXPECT_EQ(codec->MeasurePage(flat), blob.size());
   EXPECT_TRUE(PagesEqual(codec->DecompressPage(blob), flat.ToEncodedPage()));
+}
+
+TEST_P(MeasureEqualsCompress, PageShapes) {
+  const char* kind = CompressionKindName(GetParam());
+  for (const PageShape& s : PageShapes()) {
+    const std::unique_ptr<Codec> codec =
+        MakeCodec(GetParam(), s.schema, s.rows);
+    const size_t n = s.rows.size();
+    const FlatPage flat = FlatPage::FromRows(s.rows, s.schema, 0, n);
+    const size_t spans[][2] = {{0, n}, {0, n - 3}, {n / 3, n}, {n - 6, n}};
+    for (const auto& range : spans) {
+      const size_t b = range[0];
+      const size_t e = range[1];
+      const std::string blob = codec->CompressPage(flat.span(b, e));
+      EXPECT_EQ(codec->MeasurePage(flat.span(b, e)), blob.size())
+          << s.name << " " << kind << " span=[" << b << "," << e << ")";
+      const FlatPage want = FlatPage::FromRows(s.rows, s.schema, b, e);
+      EXPECT_TRUE(PagesEqual(codec->DecompressPage(blob), want.ToEncodedPage()))
+          << s.name << " " << kind;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -196,7 +196,8 @@ TEST(PackPagesTest, EveryPageBlobFitsCapacity) {
   std::unique_ptr<Codec> codec = MakeCodec(def.compression, stored, rows);
   const std::string whole =
       codec->CompressPage(EncodeRows(rows, stored, 0, rows.size()));
-  const PackResult packed = PackPages(rows, stored, *codec);
+  const PackResult packed =
+      PackPages(FlatPage::FromRows(rows, stored, 0, rows.size()), *codec);
   EXPECT_GE(packed.pages, whole.size() / kPageCapacity);
   // And packing cannot be catastrophically wasteful either (pages are at
   // least half full on average for smooth data like this).
