@@ -5,8 +5,8 @@
 // compression fraction on the bench data (deterministic at a pinned seed).
 //
 // Two compression paths are measured per codec:
-//   - encode+blob: EncodeRows -> CompressPage(EncodedPage) — what the page
-//     packer used to run per size probe (per-field strings + a real blob);
+//   - encode+blob: FlatPage::FromRows -> CompressPage(span) — render the
+//     rows, then build a real blob;
 //   - measure: MeasurePage over a FlatSpan — the zero-copy size-only kernel
 //     behind the packer's default prefix sizer (PAGE packs through its
 //     incremental sizer, checked against this kernel in
@@ -23,7 +23,6 @@
 #include "common/random.h"
 #include "compress/codec_factory.h"
 #include "compress/flat_page.h"
-#include "storage/encoding.h"
 
 namespace capd {
 namespace bench {
@@ -72,11 +71,10 @@ void Run(BenchContext& ctx) {
   const Schema schema = BenchSchema();
   const size_t rows_per_page = static_cast<size_t>(ctx.flags.rows);
   const std::vector<Row> rows = BenchRows(rows_per_page, ctx.flags.seed);
-  const EncodedPage page = EncodeRows(rows, schema, 0, rows.size());
   const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
   const std::unique_ptr<Codec> none =
       MakeCodec(CompressionKind::kNone, schema, rows);
-  const std::string base = none->CompressPage(page);
+  const std::string base = none->CompressPage(flat);
 
   PrintHeader("Codec micro-benchmarks (alpha/beta CPU constants)");
   std::printf("%-12s %13s %12s %14s %7s %18s\n", "codec", "compress[us]",
@@ -86,22 +84,22 @@ void Run(BenchContext& ctx) {
        {CompressionKind::kNone, CompressionKind::kRow, CompressionKind::kPage,
         CompressionKind::kGlobalDict, CompressionKind::kRle}) {
     const std::unique_ptr<Codec> codec = MakeCodec(kind, schema, rows);
-    const std::string blob = codec->CompressPage(page);
+    const std::string blob = codec->CompressPage(flat);
     // The measure/compress contract, asserted before timing it.
     CAPD_CHECK_EQ(codec->MeasurePage(flat), blob.size());
 
     const double compress_us =
-        TimeUsPerCall([&] { codec->CompressPage(page); });
+        TimeUsPerCall([&] { codec->CompressPage(flat); });
     const double measure_us =
         TimeUsPerCall([&] { sink += codec->MeasurePage(flat); });
     const double decompress_us =
         TimeUsPerCall([&] { codec->DecompressPage(blob); });
 
     // Allocation cost of one whole-page size, blob path vs size-only path:
-    // EncodeRows + CompressPage against MeasurePage over a flat span.
+    // FromRows + CompressPage against MeasurePage over a flat span.
     uint64_t a0 = AllocCount();
     {
-      const EncodedPage probe = EncodeRows(rows, schema, 0, rows.size());
+      const FlatPage probe = FlatPage::FromRows(rows, schema, 0, rows.size());
       const std::string probe_blob = codec->CompressPage(probe);
       sink += probe_blob.size();
     }
@@ -133,8 +131,8 @@ void Run(BenchContext& ctx) {
                           measure_allocs);
     ctx.report.AddValue("allocs_per_row" + key + "[path=measure]",
                         measure_apr);
-    // The old probe path's churn is the headline being deleted; its count
-    // is allocator/stdlib shaped, so report-only (time kind).
+    // The render+blob path's allocation count is allocator/stdlib shaped,
+    // so report-only (time kind).
     ctx.report.AddTimeMs("allocs_per_row" + key + "[path=encode+blob]",
                          blob_apr);
     ctx.report.AddTimeMs("measure_speedup_vs_compress" + key,

@@ -487,19 +487,17 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   }
 
   // 4. Index merging over the selected pool.
-  if (options_.enable_merging) {
-    std::vector<IndexDef> merged = generator.MergeCandidates(selected);
-    if (!merged.empty()) {
-      t0 = Clock::now();
-      const std::map<std::string, PhysicalIndexEstimate> merged_sizes =
-          EstimateSizes(merged, &result);
-      result.estimation_ms += millis_since(t0);
-      // A cancel inside the merged batch leaves merged_sizes short; merged
-      // candidates are only admitted when every one of them was sized.
-      if (!CancelRequested()) {
-        for (const IndexDef& def : merged) selected.push_back(def);
-        for (const auto& [sig, est] : merged_sizes) sizes[sig] = est;
-      }
+  const std::vector<IndexDef> merged = generator.MergeCandidates(selected);
+  if (!merged.empty()) {
+    t0 = Clock::now();
+    const std::map<std::string, PhysicalIndexEstimate> merged_sizes =
+        EstimateSizes(merged, &result);
+    result.estimation_ms += millis_since(t0);
+    // A cancel inside the merged batch leaves merged_sizes short; merged
+    // candidates are only admitted when every one of them was sized.
+    if (!CancelRequested()) {
+      for (const IndexDef& def : merged) selected.push_back(def);
+      for (const auto& [sig, est] : merged_sizes) sizes[sig] = est;
     }
   }
   result.num_candidates = selected.size();

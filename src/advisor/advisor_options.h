@@ -92,10 +92,8 @@ struct AdvisorOptions {
   // contains kBitmap.
   uint64_t bitmap_max_leading_distinct = 64;
 
-  bool enable_clustered = true;
   bool enable_partial = false;  // partial-index candidates
   bool enable_mv = false;       // MV + MV-index candidates
-  bool enable_merging = true;   // index merging [8]
 
   // Size-estimation knobs (Section 5 framework). Noteworthy fields:
   //   size_options.num_threads — parallel batch estimation: independent

@@ -60,9 +60,7 @@ void CandidateGenerator::GenerateForTable(const SelectQuery& q,
     if (pred_cols.size() > 1) make({pred_cols[0]}, {}, false);
     // Clustered candidate on the most selective predicate column (fact
     // tables only — the root of the query).
-    if (options_->enable_clustered && table == q.table) {
-      make({pred_cols[0]}, {}, true);
-    }
+    if (table == q.table) make({pred_cols[0]}, {}, true);
   }
 
   // Group/order driven index with covering includes.

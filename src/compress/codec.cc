@@ -35,10 +35,6 @@ void Codec::ValidateSpan(const FlatSpan& span) const {
   }
 }
 
-std::string Codec::CompressPage(const EncodedPage& page) const {
-  return CompressPage(FlatPage::FromEncodedPage(page, widths_).span());
-}
-
 std::string NoneCodec::CompressPage(const FlatSpan& span) const {
   ValidateSpan(span);
   const size_t n = span.num_rows();
@@ -58,21 +54,17 @@ uint64_t NoneCodec::MeasurePage(const FlatSpan& span) const {
   return VarintSize(n) + n * (row_width() + kRowOverhead);
 }
 
-EncodedPage NoneCodec::DecompressPage(std::string_view blob) const {
+FlatPage NoneCodec::DecompressPage(std::string_view blob) const {
   size_t offset = 0;
   const uint64_t n = GetVarint(blob, &offset);
-  EncodedPage page;
-  page.rows.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    std::vector<std::string> fields;
-    fields.reserve(num_columns());
-    for (uint32_t w : widths_) {
-      CAPD_CHECK_LE(offset + w, blob.size());
-      fields.emplace_back(blob.substr(offset, w));
-      offset += w;
+  FlatPage page = FlatPage::Zeroed(widths_, n);
+  for (uint64_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < num_columns(); ++c) {
+      CAPD_CHECK_LE(offset + widths_[c], blob.size());
+      page.SetField(r, c, blob.substr(offset, widths_[c]));
+      offset += widths_[c];
     }
     offset += kRowOverhead;
-    page.rows.push_back(std::move(fields));
   }
   return page;
 }
@@ -111,21 +103,17 @@ uint64_t RowCodec::MeasurePage(const FlatSpan& span) const {
   return total;
 }
 
-EncodedPage RowCodec::DecompressPage(std::string_view blob) const {
+FlatPage RowCodec::DecompressPage(std::string_view blob) const {
   size_t offset = 0;
   const uint64_t n = GetVarint(blob, &offset);
-  EncodedPage page;
-  page.rows.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    std::vector<std::string> fields;
-    fields.reserve(num_columns());
-    for (uint32_t w : widths_) {
-      std::string field;
-      field.reserve(w);
-      NsDecompressField(blob, &offset, w, &field);
-      fields.push_back(std::move(field));
+  FlatPage page = FlatPage::Zeroed(widths_, n);
+  std::string cell;  // reused: capacity sticks at the widest column
+  for (uint64_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < num_columns(); ++c) {
+      cell.clear();
+      NsDecompressField(blob, &offset, widths_[c], &cell);
+      page.SetField(r, c, cell);
     }
-    page.rows.push_back(std::move(fields));
   }
   return page;
 }

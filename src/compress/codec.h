@@ -1,7 +1,8 @@
 // Page codec interface plus the trivial (NONE) and ROW (null suppression)
 // codecs. A codec turns one flat columnar span (FlatSpan: rows with fixed
-// width fields in a single arena) into a self-describing byte blob and back;
-// blob size is what the index builder packs against the 8 KiB page capacity.
+// width fields in a single arena) into a self-describing byte blob and back
+// into a FlatPage; blob size is what the index builder packs against the
+// 8 KiB page capacity.
 //
 // Two entry points per codec, with a pinned contract:
 //   - CompressPage(span): materializes the blob (round-trips through
@@ -23,7 +24,6 @@
 
 #include "compress/compression_kind.h"
 #include "compress/flat_page.h"
-#include "storage/encoding.h"
 
 namespace capd {
 
@@ -56,16 +56,15 @@ class Codec {
   // per-field copies.
   virtual uint64_t MeasurePage(const FlatSpan& span) const = 0;
 
-  virtual EncodedPage DecompressPage(std::string_view blob) const = 0;
+  // Rebuilds the page a blob was compressed from: DecompressPage(
+  // CompressPage(span)) equals FlatPage::FromRows of the span's rows.
+  // Malformed blobs fail a CHECK.
+  virtual FlatPage DecompressPage(std::string_view blob) const = 0;
 
   // Sizer over the prefixes of `span`. The default calls MeasurePage per
   // query; codecs whose size can be kept up row by row override it.
   virtual std::unique_ptr<PrefixSizer> NewPrefixSizer(
       const FlatSpan& span) const;
-
-  // Legacy row-major entry point: flattens and delegates. Byte-identical to
-  // compressing the equivalent FlatSpan.
-  std::string CompressPage(const EncodedPage& page) const;
 
   // Storage charged once per index regardless of page count (e.g. the
   // global dictionary). Zero for page-local codecs.
@@ -92,11 +91,10 @@ class NoneCodec : public Codec {
  public:
   explicit NoneCodec(std::vector<uint32_t> widths) : Codec(std::move(widths)) {}
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kNone; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
-  EncodedPage DecompressPage(std::string_view blob) const override;
+  FlatPage DecompressPage(std::string_view blob) const override;
 };
 
 // ROW compression: every field null-suppressed independently. Order
@@ -105,11 +103,10 @@ class RowCodec : public Codec {
  public:
   explicit RowCodec(std::vector<uint32_t> widths) : Codec(std::move(widths)) {}
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kRow; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
-  EncodedPage DecompressPage(std::string_view blob) const override;
+  FlatPage DecompressPage(std::string_view blob) const override;
 };
 
 }  // namespace capd

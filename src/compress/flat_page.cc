@@ -1,6 +1,9 @@
 #include "compress/flat_page.h"
 
+#include <cstring>
+
 #include "common/logging.h"
+#include "storage/encoding.h"
 
 namespace capd {
 
@@ -45,45 +48,18 @@ FlatPage FlatPage::FromRows(const std::vector<Row>& rows, const Schema& schema,
   return page;
 }
 
-FlatPage FlatPage::FromBlock(const ColumnBlock& block, const Schema& schema) {
-  CAPD_CHECK_EQ(block.num_columns(), schema.num_columns());
-  const size_t n = static_cast<size_t>(block.num_rows());
-  FlatPage page(ColumnWidths(schema), n);
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    const Column& col = schema.column(c);
-    for (size_t r = 0; r < n; ++r) {
-      EncodeField(block.value(c, r), col, &page.arena_);
-    }
-  }
-  CAPD_CHECK_EQ(page.arena_.size(), page.row_width_ * page.rows_);
+FlatPage FlatPage::Zeroed(std::vector<uint32_t> widths, size_t rows) {
+  FlatPage page(std::move(widths), rows);
+  page.arena_.resize(page.row_width_ * page.rows_);
   return page;
 }
 
-FlatPage FlatPage::FromEncodedPage(const EncodedPage& encoded,
-                                   const std::vector<uint32_t>& widths) {
-  FlatPage page(widths, encoded.rows.size());
-  for (size_t c = 0; c < widths.size(); ++c) {
-    for (const auto& row : encoded.rows) {
-      CAPD_CHECK_EQ(row.size(), widths.size());
-      CAPD_CHECK_EQ(row[c].size(), static_cast<size_t>(widths[c]));
-      page.arena_.append(row[c]);
-    }
-  }
-  return page;
-}
-
-EncodedPage FlatPage::ToEncodedPage() const {
-  EncodedPage out;
-  out.rows.reserve(rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    std::vector<std::string> fields;
-    fields.reserve(num_columns());
-    for (size_t c = 0; c < num_columns(); ++c) {
-      fields.emplace_back(field(r, c));
-    }
-    out.rows.push_back(std::move(fields));
-  }
-  return out;
+void FlatPage::SetField(size_t r, size_t c, std::string_view cell) {
+  CAPD_CHECK_LT(r, rows_);
+  CAPD_CHECK_LT(c, widths_.size());
+  CAPD_CHECK_EQ(cell.size(), static_cast<size_t>(widths_[c]));
+  std::memcpy(&arena_[col_offsets_[c] + r * widths_[c]], cell.data(),
+              cell.size());
 }
 
 std::vector<uint32_t> ColumnWidths(const Schema& schema) {

@@ -1,12 +1,12 @@
-// Flat columnar page representation: the zero-copy input format of the
-// compression codecs. A FlatPage renders a batch of rows into ONE
-// arena-backed byte buffer laid out column-major (all of column 0's
-// fixed-width cells, then column 1's, ...), with a per-column offset array
-// into the arena. Cells are addressed as string_view FieldViews straight
-// into the arena — building a page costs a handful of allocations total
-// (arena + offset vectors) instead of one std::string per field, and a
-// FlatSpan lets the page packer probe any contiguous row range without
-// copying or re-encoding anything.
+// Flat columnar page representation: the one page format of the
+// compression codecs, both their input and DecompressPage's output. A
+// FlatPage renders a batch of rows into ONE arena-backed byte buffer laid
+// out column-major (all of column 0's fixed-width cells, then column 1's,
+// ...), with a per-column offset array into the arena. Cells are addressed
+// as string_view FieldViews straight into the arena — building a page
+// costs a handful of allocations total (arena + offset vectors) instead of
+// one std::string per field, and a FlatSpan lets the page packer probe any
+// contiguous row range without copying or re-encoding anything.
 #ifndef CAPD_COMPRESS_FLAT_PAGE_H_
 #define CAPD_COMPRESS_FLAT_PAGE_H_
 
@@ -16,8 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "storage/block.h"
-#include "storage/encoding.h"
 #include "storage/schema.h"
 
 namespace capd {
@@ -68,14 +66,9 @@ class FlatPage {
   static FlatPage FromRows(const std::vector<Row>& rows, const Schema& schema,
                            size_t begin, size_t end);
 
-  // Converter from the blocked-storage scratch (PR 8's ColumnBlock): encodes
-  // the block's rows without materializing Row vectors or per-field strings.
-  static FlatPage FromBlock(const ColumnBlock& block, const Schema& schema);
-
-  // Converter from the legacy row-major representation. Validates that every
-  // field has exactly its column width (the old ValidatePage contract).
-  static FlatPage FromEncodedPage(const EncodedPage& page,
-                                  const std::vector<uint32_t>& widths);
+  // A page of `rows` all-zero rows, to be filled through SetField: the
+  // codecs decode into one of these.
+  static FlatPage Zeroed(std::vector<uint32_t> widths, size_t rows);
 
   size_t num_rows() const { return rows_; }
   size_t num_columns() const { return widths_.size(); }
@@ -99,8 +92,16 @@ class FlatPage {
   // Whole-page view; lets FlatPage be passed wherever a FlatSpan is taken.
   operator FlatSpan() const { return span(); }  // NOLINT(runtime/explicit)
 
-  // Back-conversion for tests and decompress comparisons.
-  EncodedPage ToEncodedPage() const;
+  // Overwrites cell (r, c): the one write path into a page after it is
+  // built. The cell must be exactly width(c) bytes, so a malformed blob
+  // fails a CHECK instead of writing past its cell or the arena.
+  void SetField(size_t r, size_t c, std::string_view cell);
+
+  // Same widths, row count and cell bytes.
+  friend bool operator==(const FlatPage& a, const FlatPage& b) {
+    return a.rows_ == b.rows_ && a.widths_ == b.widths_ &&
+           a.arena_ == b.arena_;
+  }
 
  private:
   FlatPage(std::vector<uint32_t> widths, size_t rows);

@@ -85,12 +85,10 @@ uint64_t GlobalDictCodec::MeasurePage(const FlatSpan& span) const {
   return total;
 }
 
-EncodedPage GlobalDictCodec::DecompressPage(std::string_view blob) const {
+FlatPage GlobalDictCodec::DecompressPage(std::string_view blob) const {
   size_t offset = 0;
   const uint64_t n = GetVarint(blob, &offset);
-  EncodedPage page;
-  page.rows.resize(n);
-  for (auto& row : page.rows) row.resize(num_columns());
+  FlatPage page = FlatPage::Zeroed(widths_, n);
   for (size_t c = 0; c < num_columns(); ++c) {
     const uint32_t pw = ptr_widths_[c];
     for (uint64_t i = 0; i < n; ++i) {
@@ -100,7 +98,7 @@ EncodedPage GlobalDictCodec::DecompressPage(std::string_view blob) const {
         id = (id << 8) | static_cast<uint8_t>(blob[offset++]);
       }
       CAPD_CHECK_LT(id, rdicts_[c].size());
-      page.rows[i][c].assign(rdicts_[c][id]);
+      page.SetField(i, c, rdicts_[c][id]);
     }
   }
   return page;

@@ -26,11 +26,10 @@ class GlobalDictCodec : public Codec {
   static std::unique_ptr<GlobalDictCodec> Build(const std::vector<Row>& rows,
                                                 const Schema& schema);
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kGlobalDict; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
-  EncodedPage DecompressPage(std::string_view blob) const override;
+  FlatPage DecompressPage(std::string_view blob) const override;
   uint64_t IndexOverheadBytes() const override;
 
   // Pointer width (bytes) used for column c.

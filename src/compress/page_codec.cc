@@ -261,15 +261,15 @@ std::unique_ptr<PrefixSizer> PageCodec::NewPrefixSizer(
   return std::make_unique<PagePrefixSizer>(span);
 }
 
-EncodedPage PageCodec::DecompressPage(std::string_view blob) const {
+FlatPage PageCodec::DecompressPage(std::string_view blob) const {
   size_t offset = 0;
   const uint64_t n = GetVarint(blob, &offset);
-  EncodedPage page;
-  page.rows.resize(n);
-  for (auto& row : page.rows) row.resize(num_columns());
+  FlatPage page = FlatPage::Zeroed(widths_, n);
   std::vector<std::string> dict;  // reused across columns
+  std::string cell;
   for (size_t c = 0; c < num_columns(); ++c) {
     const uint64_t anchor_len = GetVarint(blob, &offset);
+    CAPD_CHECK_LE(anchor_len, widths_[c]) << "anchor longer than its column";
     CAPD_CHECK_LE(offset + anchor_len, blob.size());
     const std::string_view anchor = blob.substr(offset, anchor_len);
     offset += anchor_len;
@@ -287,15 +287,14 @@ EncodedPage PageCodec::DecompressPage(std::string_view blob) const {
 
     for (uint64_t i = 0; i < n; ++i) {
       const uint64_t code = GetVarint(blob, &offset);
-      std::string& field = page.rows[i][c];
-      field.reserve(widths_[c]);
-      field.assign(anchor);
+      cell.assign(anchor);
       if (code == 0) {
-        NsDecompressField(blob, &offset, rem_width, &field);
+        NsDecompressField(blob, &offset, rem_width, &cell);
       } else {
         CAPD_CHECK_LE(code, dict.size());
-        field.append(dict[code - 1]);
+        cell.append(dict[code - 1]);
       }
+      page.SetField(i, c, cell);
     }
   }
   return page;

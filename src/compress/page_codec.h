@@ -24,11 +24,10 @@ class PageCodec : public Codec {
  public:
   explicit PageCodec(std::vector<uint32_t> widths) : Codec(std::move(widths)) {}
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kPage; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
-  EncodedPage DecompressPage(std::string_view blob) const override;
+  FlatPage DecompressPage(std::string_view blob) const override;
   std::unique_ptr<PrefixSizer> NewPrefixSizer(
       const FlatSpan& span) const override;
 };

@@ -17,8 +17,7 @@ AdvisorEngine::AdvisorEngine(const Database& db, EngineOptions options)
       optimizer_(db, CostModelParams{}) {
   optimizer_.set_mv_matcher(&mvs_);
   if (options_.share_estimation_cache) {
-    estimation_cache_ = std::make_shared<EstimationCache>(
-        options_.estimation_cache_capacity_bytes);
+    estimation_cache_ = std::make_shared<EstimationCache>();
   }
 }
 
@@ -75,7 +74,7 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
   if (request.enable_partial >= 0) {
     options.enable_partial = request.enable_partial != 0;
   }
-  if (request.use_shared_estimation_cache && estimation_cache_ != nullptr) {
+  if (estimation_cache_ != nullptr) {
     options.size_options.cache = estimation_cache_;
     // Fraction-exact mode: warmth must never change what a request
     // computes — see the determinism contract in the header.

@@ -55,10 +55,9 @@ struct EngineOptions {
   uint64_t sample_seed = 4242;
 
   // Cross-request estimation cache (fraction-exact mode, see
-  // SizeEstimationOptions::cache_fraction_exact): indexes priced by one
-  // request are not re-sampled by the next. 0 capacity = unbounded.
+  // SizeEstimationOptions::cache_fraction_exact, unbounded): indexes priced
+  // by one request are not re-sampled by the next.
   bool share_estimation_cache = true;
-  size_t estimation_cache_capacity_bytes = 0;
 
   // Default for TuningRequest::cost_cache (the per-request sharded
   // statement cost cache).
@@ -122,10 +121,6 @@ struct TuningRequest {
   // definitions never leak into later requests.
   int enable_mv = -1;
   int enable_partial = -1;
-  // When false this request neither reads nor fills the engine's shared
-  // estimation cache (results are identical either way; this knob exists
-  // for isolation and for benchmarking cold runs).
-  bool use_shared_estimation_cache = true;
   // Prints the advisor's candidate-pool / greedy decisions to stderr
   // (AdvisorOptions::trace; debugging aid).
   bool trace = false;

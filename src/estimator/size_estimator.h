@@ -57,11 +57,6 @@ struct SizeEstimationOptions {
   // instead of (and regardless of) num_threads, and is not owned: the
   // AdvisorEngine shares one estimation pool across requests this way.
   ThreadPool* pool = nullptr;
-  // Memory bound for `cache` (approximate bytes; 0 = unbounded). Applied
-  // to the cache at estimator construction — least-recently-used entries
-  // are evicted once the bound is exceeded, so hundred-thousand-candidate
-  // workloads cannot grow the cache without limit.
-  size_t cache_capacity_bytes = 0;
   // Cooperative cancellation, polled inside the batch itself (per fraction
   // probe and per SampleCF leaf) so a deadline binds within a long
   // estimation phase, not just at its boundary. On cancel EstimateAll
@@ -80,11 +75,7 @@ class SizeEstimator {
       : db_(&db),
         source_(source),
         model_(std::move(model)),
-        options_(std::move(options)) {
-    if (options_.cache != nullptr && options_.cache_capacity_bytes > 0) {
-      options_.cache->set_capacity_bytes(options_.cache_capacity_bytes);
-    }
-  }
+        options_(std::move(options)) {}
 
   struct BatchResult {
     std::map<std::string, SampleCfResult> estimates;  // by IndexDef signature

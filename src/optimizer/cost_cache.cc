@@ -167,9 +167,12 @@ double StatementCostCache::CostWithInfos(
   }
   const double cost =
       optimizer_->Cost(workload_->statements[stmt_index], config);
-  misses_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.costs.emplace(std::move(key), cost);
+  // Only the inserting worker counts a miss; a worker that lost the race
+  // computed the same value and counts a hit, so misses() is the number of
+  // distinct keys at any thread count.
+  const bool inserted = shard.costs.emplace(std::move(key), cost).second;
+  (inserted ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
   return cost;
 }
 

@@ -32,9 +32,10 @@
 namespace capd {
 
 // Thread-safe: Enumerate's parallel trial evaluations share one cache.
-// Concurrent misses on the same key both run the (pure, deterministic)
-// optimizer and insert the same value, so results are independent of
-// thread count and interleaving.
+// Concurrent misses on the same key may both run the (pure, deterministic)
+// optimizer; the first to insert counts the miss and the other counts a
+// hit, so results and counters are independent of thread count and
+// interleaving: misses() is the number of distinct keys costed.
 class StatementCostCache {
  public:
   // All three referents must outlive the cache.

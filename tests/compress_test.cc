@@ -30,12 +30,8 @@ std::vector<Row> MakeRows(int n, int distinct_a, Random* rng) {
   return rows;
 }
 
-bool PagesEqual(const EncodedPage& a, const EncodedPage& b) {
-  if (a.rows.size() != b.rows.size()) return false;
-  for (size_t i = 0; i < a.rows.size(); ++i) {
-    if (a.rows[i] != b.rows[i]) return false;
-  }
-  return true;
+FlatPage Render(const std::vector<Row>& rows, const Schema& schema) {
+  return FlatPage::FromRows(rows, schema, 0, rows.size());
 }
 
 TEST(VarintTest, RoundTrip) {
@@ -82,10 +78,15 @@ TEST_P(CodecRoundTrip, RandomPages) {
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<Row> rows = MakeRows(1 + static_cast<int>(rng.Next(200)), 5, &rng);
     std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
-    const EncodedPage page = EncodeRows(rows, schema, 0, rows.size());
-    const std::string blob = codec->CompressPage(page);
-    const EncodedPage back = codec->DecompressPage(blob);
-    EXPECT_TRUE(PagesEqual(page, back)) << CompressionKindName(GetParam());
+    const FlatPage page = Render(rows, schema);
+    EXPECT_TRUE(codec->DecompressPage(codec->CompressPage(page)) == page)
+        << CompressionKindName(GetParam());
+    // A span that starts mid-page decodes to the rendering of its own rows.
+    const size_t b = rows.size() / 2;
+    const std::string tail = codec->CompressPage(page.span(b, rows.size()));
+    EXPECT_TRUE(codec->DecompressPage(tail) ==
+                FlatPage::FromRows(rows, schema, b, rows.size()))
+        << CompressionKindName(GetParam()) << " begin=" << b;
   }
 }
 
@@ -106,16 +107,17 @@ TEST_P(CodecRoundTrip, EmptyPage) {
   const Schema schema = TwoColSchema();
   std::vector<Row> rows;
   std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
-  const EncodedPage page;
-  const EncodedPage back = codec->DecompressPage(codec->CompressPage(page));
-  EXPECT_EQ(back.rows.size(), 0u);
+  const FlatPage page = Render(rows, schema);
+  const FlatPage back = codec->DecompressPage(codec->CompressPage(page));
+  EXPECT_EQ(back.num_rows(), 0u);
+  EXPECT_TRUE(back == page);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, CodecRoundTrip,
     ::testing::Values(CompressionKind::kNone, CompressionKind::kRow,
                       CompressionKind::kPage, CompressionKind::kGlobalDict,
-                      CompressionKind::kRle),
+                      CompressionKind::kRle, CompressionKind::kBitmap),
     [](const auto& info) {
       std::string n = CompressionKindName(info.param);
       n.erase(std::remove_if(n.begin(), n.end(),
@@ -128,7 +130,7 @@ TEST(RowCodecTest, SmallIntsCompress) {
   const Schema schema({{"a", ValueType::kInt64, 8}});
   std::vector<Row> rows;
   for (int i = 0; i < 100; ++i) rows.push_back({Value::Int64(i % 3)});
-  const EncodedPage page = EncodeRows(rows, schema, 0, rows.size());
+  const FlatPage page = Render(rows, schema);
   NoneCodec none(ColumnWidths(schema));
   RowCodec row(ColumnWidths(schema));
   EXPECT_LT(row.CompressPage(page).size(), none.CompressPage(page).size() / 2);
@@ -140,10 +142,10 @@ TEST(RowCodecTest, OrderIndependentSize) {
   std::vector<Row> rows = MakeRows(150, 4, &rng);
   RowCodec codec(ColumnWidths(schema));
   const size_t size1 =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+      codec.CompressPage(Render(rows, schema)).size();
   std::shuffle(rows.begin(), rows.end(), rng.engine());
   const size_t size2 =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+      codec.CompressPage(Render(rows, schema)).size();
   EXPECT_EQ(size1, size2);  // NS size is a function of the multiset only
 }
 
@@ -156,9 +158,9 @@ TEST(PageCodecTest, DuplicatesGoToDictionary) {
   }
   PageCodec codec(ColumnWidths(schema));
   const size_t uniform_size =
-      codec.CompressPage(EncodeRows(uniform, schema, 0, uniform.size())).size();
+      codec.CompressPage(Render(uniform, schema)).size();
   const size_t distinct_size =
-      codec.CompressPage(EncodeRows(distinct, schema, 0, distinct.size())).size();
+      codec.CompressPage(Render(distinct, schema)).size();
   EXPECT_LT(uniform_size, distinct_size / 3);
 }
 
@@ -176,10 +178,24 @@ TEST(PageCodecTest, OrderDependentSize) {
   }
   PageCodec codec(ColumnWidths(schema));
   const size_t close_size =
-      codec.CompressPage(EncodeRows(close, schema, 0, close.size())).size();
+      codec.CompressPage(Render(close, schema)).size();
   const size_t far_size =
-      codec.CompressPage(EncodeRows(far, schema, 0, far.size())).size();
+      codec.CompressPage(Render(far, schema)).size();
   EXPECT_LT(close_size, far_size);
+}
+
+TEST(PageCodecDeathTest, DecompressRejectsAnchorWiderThanColumn) {
+  // Handcraft a one-row, one-column page whose anchor claims 9 bytes of an
+  // 8-byte column.
+  std::string blob;
+  PutVarint(1, &blob);                   // n_rows
+  PutVarint(9, &blob);                   // anchor length
+  blob.append(9, 'a');                   // anchor bytes
+  PutVarint(0, &blob);                   // dictionary entries
+  PutVarint(0, &blob);                   // row 0: literal
+  blob.push_back(static_cast<char>(0));  // NS: no leading zeros
+  const PageCodec codec({8});
+  EXPECT_DEATH(codec.DecompressPage(blob), "anchor longer than its column");
 }
 
 TEST(RleCodecTest, SortedBeatsShuffled) {
@@ -189,10 +205,10 @@ TEST(RleCodecTest, SortedBeatsShuffled) {
   for (int i = 0; i < 200; ++i) rows.push_back({Value::Int64(i / 50)});
   RleCodec codec(ColumnWidths(schema));
   const size_t sorted_size =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+      codec.CompressPage(Render(rows, schema)).size();
   std::shuffle(rows.begin(), rows.end(), rng.engine());
   const size_t shuffled_size =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+      codec.CompressPage(Render(rows, schema)).size();
   EXPECT_LT(sorted_size, shuffled_size / 4);
 }
 

@@ -7,6 +7,7 @@
 #include "compress/codec_factory.h"
 #include "compress/null_suppression.h"
 #include "query/sql_parser.h"
+#include "storage/encoding.h"
 #include "workloads/tpch.h"
 
 namespace capd {
@@ -191,13 +192,13 @@ TEST_F(AdvisorEdgeCase, TopKZeroSelectsNothing) {
 }
 
 TEST_F(AdvisorEdgeCase, UnboundedEstimationCacheWithThreads) {
-  // cache_capacity_bytes == 0 means "unbounded", and it must compose with
-  // both thread pools (estimation + search) without crashing or drifting.
+  // Capacity 0 means "unbounded", and it must compose with both thread
+  // pools (estimation + search) without crashing or drifting.
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
   options.num_threads = 4;
   options.size_options.num_threads = 2;
-  options.size_options.cache = std::make_shared<EstimationCache>();
-  options.size_options.cache_capacity_bytes = 0;
+  options.size_options.cache =
+      std::make_shared<EstimationCache>(/*capacity_bytes=*/0);
   SizeEstimator estimator(db_, source_.get(), ErrorModel(),
                           options.size_options);
   Advisor advisor(db_, *optimizer_, &estimator, nullptr, options);
@@ -205,6 +206,8 @@ TEST_F(AdvisorEdgeCase, UnboundedEstimationCacheWithThreads) {
   const AdvisorResult second = advisor.Tune(workload_, 1e9);  // cache-hot
   EXPECT_DOUBLE_EQ(first.final_cost, second.final_cost);
   EXPECT_EQ(first.config.size(), second.config.size());
+  EXPECT_GT(options.size_options.cache->size(), 0u);
+  EXPECT_EQ(options.size_options.cache->evictions(), 0u);
 }
 
 TEST_F(AdvisorEdgeCase, InsertOnlyWorkload) {

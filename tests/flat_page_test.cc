@@ -1,10 +1,10 @@
-// Tests for the zero-copy compression path: FlatPage/FlatSpan layout and
-// converters, the SWAR CountLeadingZeros kernel, the pinned
-// MeasurePage(s) == CompressPage(s).size() contract for every codec across
-// widths and null densities (including width-255 and all-zero fields), and
-// the randomized compress->decompress round-trip property on the same
-// matrix, plus the PAGE corner shapes of page_shapes.h. Also the NS
-// width>255 CHECK death tests.
+// Tests for the zero-copy compression path: FlatPage/FlatSpan layout, the
+// width-checked SetField write path, the SWAR CountLeadingZeros kernel, the
+// pinned MeasurePage(s) == CompressPage(s).size() contract for every codec
+// across widths and null densities (including width-255 and all-zero
+// fields), and the randomized compress->decompress round-trip property on
+// the same matrix, plus the PAGE corner shapes of page_shapes.h. Also the
+// NS width>255 CHECK death tests.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -17,6 +17,7 @@
 #include "compress/flat_page.h"
 #include "compress/null_suppression.h"
 #include "page_shapes.h"
+#include "storage/encoding.h"
 
 namespace capd {
 namespace {
@@ -49,14 +50,6 @@ std::vector<Row> RandomRows(size_t n, double zero_density, Random* rng) {
          zero ? Value::Int64(0) : Value::Int64(rng->Uniform(0, 1 << 30))});
   }
   return rows;
-}
-
-bool PagesEqual(const EncodedPage& a, const EncodedPage& b) {
-  if (a.rows.size() != b.rows.size()) return false;
-  for (size_t i = 0; i < a.rows.size(); ++i) {
-    if (a.rows[i] != b.rows[i]) return false;
-  }
-  return true;
 }
 
 TEST(FlatPageTest, LayoutMatchesEncodeField) {
@@ -104,32 +97,38 @@ TEST(FlatPageTest, SpanSlicesAddressSubranges) {
   }
   // Slicing matches FromRows over the same subrange.
   const FlatPage sub = FlatPage::FromRows(rows, schema, 10, 35);
-  EXPECT_TRUE(PagesEqual(
-      sub.ToEncodedPage(),
-      FlatPage::FromRows(rows, schema, 10, 35).ToEncodedPage()));
+  for (size_t r = 0; r < span.num_rows(); ++r) {
+    for (size_t c = 0; c < span.num_columns(); ++c) {
+      EXPECT_EQ(span.field(r, c), sub.field(r, c));
+    }
+  }
 }
 
-TEST(FlatPageTest, FromBlockMatchesFromRows) {
+TEST(FlatPageTest, SetFieldFillsAZeroedPage) {
   Random rng(14);
   const Schema schema = WideSchema();
   const std::vector<Row> rows = RandomRows(30, 0.25, &rng);
-  ColumnBlock block(schema);
-  block.Reset(0);
-  for (const Row& r : rows) block.AppendRow(r);
-  const FlatPage from_block = FlatPage::FromBlock(block, schema);
-  const FlatPage from_rows = FlatPage::FromRows(rows, schema, 0, rows.size());
-  EXPECT_TRUE(
-      PagesEqual(from_block.ToEncodedPage(), from_rows.ToEncodedPage()));
+  const FlatPage want = FlatPage::FromRows(rows, schema, 0, rows.size());
+  FlatPage page = FlatPage::Zeroed(ColumnWidths(schema), rows.size());
+  EXPECT_FALSE(page == want);
+  // Cells land at their own (row, column) whatever the write order.
+  for (size_t c = page.num_columns(); c-- > 0;) {
+    for (size_t r = page.num_rows(); r-- > 0;) {
+      page.SetField(r, c, want.field(r, c));
+    }
+  }
+  EXPECT_TRUE(page == want);
+  // Equality covers shape as well as bytes.
+  EXPECT_FALSE(FlatPage::Zeroed({8}, 0) == FlatPage::Zeroed({4, 4}, 0));
+  EXPECT_FALSE(FlatPage::Zeroed({8}, 1) == FlatPage::Zeroed({8}, 2));
 }
 
-TEST(FlatPageTest, EncodedPageRoundTrip) {
-  Random rng(15);
-  const Schema schema = WideSchema();
-  const std::vector<Row> rows = RandomRows(25, 0.5, &rng);
-  const EncodedPage encoded = EncodeRows(rows, schema, 0, rows.size());
-  const FlatPage flat =
-      FlatPage::FromEncodedPage(encoded, ColumnWidths(schema));
-  EXPECT_TRUE(PagesEqual(flat.ToEncodedPage(), encoded));
+TEST(FlatPageDeathTest, SetFieldRejectsWrongWidthAndOutOfRange) {
+  FlatPage page = FlatPage::Zeroed({8, 4}, 2);
+  EXPECT_DEATH(page.SetField(0, 0, std::string(9, 'x')), "CHECK failed");
+  EXPECT_DEATH(page.SetField(0, 1, std::string(3, 'x')), "CHECK failed");
+  EXPECT_DEATH(page.SetField(2, 0, std::string(8, 'x')), "CHECK failed");
+  EXPECT_DEATH(page.SetField(0, 2, std::string(4, 'x')), "CHECK failed");
 }
 
 TEST(CountLeadingZerosTest, MatchesScalarReference) {
@@ -170,8 +169,7 @@ TEST(NullSuppressionDeathTest, FieldWiderThan255Aborts) {
 }
 
 // The pinned contract: MeasurePage(s) == CompressPage(s).size() for every
-// codec, span, width mix, and null density — and the flat compressor is
-// byte-identical to the legacy row-major entry point.
+// codec, span, width mix, and null density.
 class MeasureEqualsCompress
     : public ::testing::TestWithParam<CompressionKind> {};
 
@@ -191,9 +189,6 @@ TEST_P(MeasureEqualsCompress, AcrossSpansAndNullDensities) {
           << CompressionKindName(GetParam()) << " density=" << density
           << " span=[" << range[0] << "," << range[1] << ")";
     }
-    // Legacy row-major entry point produces identical bytes.
-    const EncodedPage encoded = EncodeRows(rows, schema, 0, rows.size());
-    EXPECT_EQ(codec->CompressPage(encoded), codec->CompressPage(flat.span()));
   }
 }
 
@@ -205,10 +200,16 @@ TEST_P(MeasureEqualsCompress, RoundTripIdentity) {
       const std::vector<Row> rows =
           RandomRows(1 + rng.Next(80), density, &rng);
       const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
-      const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
-      const EncodedPage back = codec->DecompressPage(codec->CompressPage(flat));
-      EXPECT_TRUE(PagesEqual(back, flat.ToEncodedPage()))
+      const size_t n = rows.size();
+      const FlatPage flat = FlatPage::FromRows(rows, schema, 0, n);
+      EXPECT_TRUE(codec->DecompressPage(codec->CompressPage(flat)) == flat)
           << CompressionKindName(GetParam()) << " density=" << density;
+      const size_t b = rng.Next(static_cast<uint32_t>(n));
+      const std::string tail = codec->CompressPage(flat.span(b, n));
+      EXPECT_TRUE(codec->DecompressPage(tail) ==
+                  FlatPage::FromRows(rows, schema, b, n))
+          << CompressionKindName(GetParam()) << " density=" << density
+          << " begin=" << b;
     }
   }
 }
@@ -224,7 +225,7 @@ TEST_P(MeasureEqualsCompress, AllZeroFields) {
   const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
   const std::string blob = codec->CompressPage(flat);
   EXPECT_EQ(codec->MeasurePage(flat), blob.size());
-  EXPECT_TRUE(PagesEqual(codec->DecompressPage(blob), flat.ToEncodedPage()));
+  EXPECT_TRUE(codec->DecompressPage(blob) == flat);
 }
 
 TEST_P(MeasureEqualsCompress, PageShapes) {
@@ -242,8 +243,8 @@ TEST_P(MeasureEqualsCompress, PageShapes) {
       EXPECT_EQ(codec->MeasurePage(flat.span(b, e)), blob.size())
           << s.name << " " << kind << " span=[" << b << "," << e << ")";
       const FlatPage want = FlatPage::FromRows(s.rows, s.schema, b, e);
-      EXPECT_TRUE(PagesEqual(codec->DecompressPage(blob), want.ToEncodedPage()))
-          << s.name << " " << kind;
+      EXPECT_TRUE(codec->DecompressPage(blob) == want)
+          << s.name << " " << kind << " span=[" << b << "," << e << ")";
     }
   }
 }

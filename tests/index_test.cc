@@ -195,7 +195,7 @@ TEST(PackPagesTest, EveryPageBlobFitsCapacity) {
   const Schema stored = builder.StoredSchema(def);
   std::unique_ptr<Codec> codec = MakeCodec(def.compression, stored, rows);
   const std::string whole =
-      codec->CompressPage(EncodeRows(rows, stored, 0, rows.size()));
+      codec->CompressPage(FlatPage::FromRows(rows, stored, 0, rows.size()));
   const PackResult packed =
       PackPages(FlatPage::FromRows(rows, stored, 0, rows.size()), *codec);
   EXPECT_GE(packed.pages, whole.size() / kPageCapacity);

@@ -212,10 +212,9 @@ TEST(EstimationCacheTest, ShrinkingCapacityEvictsImmediately) {
 
 TEST_F(ParallelEstimationTest, CacheCapacityOptionBoundsTheCache) {
   SizeEstimationOptions options;
-  options.cache = std::make_shared<EstimationCache>();
   // A bound too small for even one entry: every insert is evicted again,
   // so the cache never grows — the extreme case of the memory bound.
-  options.cache_capacity_bytes = 1;
+  options.cache = std::make_shared<EstimationCache>(/*capacity_bytes=*/1);
 
   SampleManager samples(1234);
   TableSampleSource source(db_, &samples);

@@ -75,12 +75,8 @@ TEST_P(CodecProperty, RoundTripAnyDistribution) {
   const Table t = MakeTable(dist, 300, 5);
   const Schema& schema = t.schema();
   std::unique_ptr<Codec> codec = MakeCodec(kind, schema, t.rows());
-  const EncodedPage page = EncodeRows(t.rows(), schema, 0, t.num_rows());
-  const EncodedPage back = codec->DecompressPage(codec->CompressPage(page));
-  ASSERT_EQ(back.rows.size(), page.rows.size());
-  for (size_t i = 0; i < page.rows.size(); ++i) {
-    EXPECT_EQ(back.rows[i], page.rows[i]) << "row " << i;
-  }
+  const FlatPage page = FlatPage::FromRows(t.rows(), schema, 0, t.num_rows());
+  EXPECT_TRUE(codec->DecompressPage(codec->CompressPage(page)) == page);
 }
 
 // Invariant: a compressed index is never larger than the uncompressed one
