@@ -39,8 +39,7 @@ ZipfGenerator::ZipfGenerator(uint64_t n, double theta) : n_(n), theta_(theta) {
   for (uint64_t i = 0; i < head; ++i) cdf_[i] /= total;
 }
 
-uint64_t ZipfGenerator::Next(Random* rng) const {
-  const double u = rng->NextDouble();
+uint64_t ZipfGenerator::Rank(double u) const {
   const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
   if (it != cdf_.end()) return static_cast<uint64_t>(it - cdf_.begin());
   const uint64_t head = cdf_.size();

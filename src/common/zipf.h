@@ -29,7 +29,13 @@ class ZipfGenerator {
 
   ZipfGenerator(uint64_t n, double theta);
 
-  uint64_t Next(Random* rng) const;
+  // Draws one rank: exactly Rank(rng->NextDouble()).
+  uint64_t Next(Random* rng) const { return Rank(rng->NextDouble()); }
+
+  // The rank a uniform draw u in [0, 1) maps to. Split from Next() so a
+  // caller can take the draw now and pay for the lookup only if it needs
+  // the rank.
+  uint64_t Rank(double u) const;
 
   uint64_t n() const { return n_; }
   double theta() const { return theta_; }

@@ -19,9 +19,9 @@ std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
   auto sample = std::make_unique<Table>(table.name() + "_sample", table.schema());
   sample->Reserve(k);
   // Streaming extraction: the k indices are drawn up front in sorted order
-  // (O(k) memory), then the table is streamed block-by-block picking the
-  // requested rows — a generated 10^8-row table never materializes, and a
-  // materialized table yields the byte-identical sample it always did.
+  // (O(k) memory), then only the requested rows are built — a generated
+  // 10^8-row table never materializes, and a materialized table yields the
+  // byte-identical sample it always did.
   for (Row& row : table.CollectRows(rng->SampleIndices(n, k))) {
     sample->AddRow(std::move(row));
   }

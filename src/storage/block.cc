@@ -1,29 +1,6 @@
 #include "storage/block.h"
 
-#include "common/logging.h"
-
 namespace capd {
-
-ColumnBlock::ColumnBlock(const Schema& schema) : cols_(schema.num_columns()) {}
-
-void ColumnBlock::Reset(uint64_t first_row) {
-  first_row_ = first_row;
-  num_rows_ = 0;
-  for (std::vector<Value>& col : cols_) col.clear();
-}
-
-void ColumnBlock::AppendRow(const Row& row) {
-  CAPD_CHECK_EQ(row.size(), cols_.size());
-  for (size_t c = 0; c < cols_.size(); ++c) cols_[c].push_back(row[c]);
-  ++num_rows_;
-}
-
-void ColumnBlock::RowAt(uint64_t r, Row* out) const {
-  CAPD_CHECK_LT(r, num_rows_);
-  out->clear();
-  out->reserve(cols_.size());
-  for (size_t c = 0; c < cols_.size(); ++c) out->push_back(cols_[c][r]);
-}
 
 uint64_t BlockSeed(uint64_t seed, uint64_t block_index) {
   uint64_t z = seed + 0x9E3779B97F4A7C15ull * (block_index + 1);

@@ -1,17 +1,16 @@
-// Blocked columnar storage. A ColumnBlock holds a fixed-size run of rows
-// column-major (struct-of-arrays); a BlockSource generates the rows of one
-// block on demand from a per-block seed. Together they let Table expose
-// 10^7-10^8-row datasets that are scanned one block at a time — peak memory
-// is O(block), never O(table) — while staying bit-deterministic: block b's
-// contents depend only on (table seed, b), not on scan order or thread
-// count.
+// Blocked generated storage. A BlockSource produces the rows of one
+// fixed-size block on demand from a per-block seed, building only the rows
+// a caller wants. That lets Table expose 10^7-10^8-row datasets that are
+// scanned one block at a time — peak memory is O(block), never O(table) —
+// and sampled at the cost of the sampled rows' Values, while staying
+// bit-deterministic: block b's contents depend only on (table seed, b), not
+// on scan order, thread count or which rows are kept.
 #ifndef CAPD_STORAGE_BLOCK_H_
 #define CAPD_STORAGE_BLOCK_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "storage/schema.h"
 #include "storage/value.h"
 
 namespace capd {
@@ -21,51 +20,24 @@ namespace capd {
 // generator setup.
 inline constexpr uint64_t kDefaultBlockRows = 8192;
 
-// One block of rows in columnar (struct-of-arrays) layout. Reused as a
-// scratch buffer across blocks by scanning code: Reset() keeps the per
-// column capacity so a long scan settles into zero steady-state
-// allocation churn.
-class ColumnBlock {
- public:
-  explicit ColumnBlock(const Schema& schema);
-
-  // Clears the block and pins the global index of its first row.
-  void Reset(uint64_t first_row);
-
-  // Appends one row (must match the schema's column count).
-  void AppendRow(const Row& row);
-
-  uint64_t first_row() const { return first_row_; }
-  uint64_t num_rows() const { return num_rows_; }
-  size_t num_columns() const { return cols_.size(); }
-
-  // Value of column `c` in the block-local row `r`.
-  const Value& value(size_t c, uint64_t r) const { return cols_[c][r]; }
-
-  // Reconstructs block-local row `r` into *out (cleared first). Taking a
-  // scratch Row lets tight scan loops reuse one allocation.
-  void RowAt(uint64_t r, Row* out) const;
-
- private:
-  uint64_t first_row_ = 0;
-  uint64_t num_rows_ = 0;
-  std::vector<std::vector<Value>> cols_;  // cols_[column][row]
-};
-
 // Generates the rows of one block. Implementations MUST be deterministic
-// per block — FillBlock(b, ...) always appends the identical rows for a
-// given source, typically by seeding a fresh Random with
-// BlockSeed(table_seed, b) — and thread-safe for concurrent FillBlock
-// calls on distinct blocks (parallel materialization fans blocks across a
-// ThreadPool).
+// per block — block b always yields the identical rows for a given source,
+// typically by seeding a fresh Random with BlockSeed(table_seed, b) — and
+// thread-safe for concurrent GenerateRows calls on distinct blocks
+// (parallel materialization fans blocks across a ThreadPool).
 class BlockSource {
  public:
   virtual ~BlockSource() = default;
 
-  // Appends exactly `count` rows (global indices [first_row,
-  // first_row+count)) to *out, which has been Reset(first_row).
-  virtual void FillBlock(uint64_t block_index, uint64_t first_row,
-                         uint64_t count, ColumnBlock* out) const = 0;
+  // Block `block_index` holds global rows [first_row, first_row + count).
+  // Appends to *out the rows at the block-local offsets in *wanted (strictly
+  // ascending, each < count), or all `count` rows when `wanted` is null.
+  // Every row takes its full draw sequence whether it is kept or not, so a
+  // kept row's bytes never depend on which other rows are wanted; only kept
+  // rows pay for building their Values.
+  virtual void GenerateRows(uint64_t block_index, uint64_t first_row,
+                            uint64_t count, const std::vector<uint32_t>* wanted,
+                            std::vector<Row>* out) const = 0;
 };
 
 // splitmix64 mix of (seed, block): decorrelates per-block RNG streams so

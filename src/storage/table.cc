@@ -16,6 +16,8 @@ Table::Table(std::string name, Schema schema, uint64_t num_rows,
       block_rows_(block_rows) {
   CAPD_CHECK(source_ != nullptr) << "table " << name_;
   CAPD_CHECK_GT(block_rows_, 0u);
+  // GenerateRows addresses rows by 32-bit block-local offsets.
+  CAPD_CHECK_LE(block_rows_, uint64_t{UINT32_MAX});
 }
 
 const std::vector<Row>& Table::rows() const {
@@ -37,56 +39,50 @@ void Table::ScanRows(
     for (uint64_t i = 0; i < rows_.size(); ++i) fn(i, rows_[i]);
     return;
   }
-  ColumnBlock block(schema_);
-  Row scratch;
+  std::vector<Row> block;
   const uint64_t n = num_rows();
   for (uint64_t b = 0; b < num_blocks(); ++b) {
     const uint64_t first = b * block_rows_;
     const uint64_t count = std::min(block_rows_, n - first);
-    block.Reset(first);
-    source_->FillBlock(b, first, count, &block);
-    CAPD_CHECK_EQ(block.num_rows(), count)
-        << "table " << name_ << " block " << b;
-    for (uint64_t r = 0; r < count; ++r) {
-      block.RowAt(r, &scratch);
-      fn(first + r, scratch);
-    }
+    block.clear();
+    source_->GenerateRows(b, first, count, /*wanted=*/nullptr, &block);
+    CAPD_CHECK_EQ(block.size(), count) << "table " << name_ << " block " << b;
+    for (uint64_t r = 0; r < count; ++r) fn(first + r, block[r]);
   }
 }
 
 std::vector<Row> Table::CollectRows(
     const std::vector<uint64_t>& sorted_indices) const {
+  const uint64_t n = num_rows();
+  for (size_t i = 0; i < sorted_indices.size(); ++i) {
+    CAPD_CHECK_LT(sorted_indices[i], n) << "table " << name_;
+    if (i > 0) {
+      CAPD_CHECK_GT(sorted_indices[i], sorted_indices[i - 1])
+          << "table " << name_ << ": indices must be strictly ascending";
+    }
+  }
   std::vector<Row> out;
   out.reserve(sorted_indices.size());
   if (materialized()) {
-    for (uint64_t idx : sorted_indices) {
-      CAPD_CHECK_LT(idx, rows_.size()) << "table " << name_;
-      out.push_back(rows_[idx]);
-    }
+    for (uint64_t idx : sorted_indices) out.push_back(rows_[idx]);
     return out;
   }
-  const uint64_t n = num_rows();
-  ColumnBlock block(schema_);
-  Row scratch;
+  std::vector<uint32_t> wanted;
   size_t i = 0;
   while (i < sorted_indices.size()) {
-    const uint64_t idx = sorted_indices[i];
-    CAPD_CHECK_LT(idx, n) << "table " << name_;
-    const uint64_t b = idx / block_rows_;
+    const uint64_t b = sorted_indices[i] / block_rows_;
     const uint64_t first = b * block_rows_;
     const uint64_t count = std::min(block_rows_, n - first);
-    block.Reset(first);
-    source_->FillBlock(b, first, count, &block);
-    CAPD_CHECK_EQ(block.num_rows(), count)
-        << "table " << name_ << " block " << b;
-    // Drain every requested index that falls inside this block.
-    for (; i < sorted_indices.size(); ++i) {
-      const uint64_t next = sorted_indices[i];
-      CAPD_CHECK_GE(next, idx) << "indices must be sorted ascending";
-      if (next >= first + count) break;
-      block.RowAt(next - first, &scratch);
-      out.push_back(scratch);
+    // Gather every requested index that falls inside this block.
+    wanted.clear();
+    for (; i < sorted_indices.size() && sorted_indices[i] < first + count;
+         ++i) {
+      wanted.push_back(static_cast<uint32_t>(sorted_indices[i] - first));
     }
+    const size_t before = out.size();
+    source_->GenerateRows(b, first, count, &wanted, &out);
+    CAPD_CHECK_EQ(out.size() - before, wanted.size())
+        << "table " << name_ << " block " << b;
   }
   return out;
 }
@@ -107,18 +103,9 @@ std::unique_ptr<Table> Table::Materialize(ThreadPool* pool) const {
   ParallelFor(pool, blocks, [&](size_t b) {
     const uint64_t first = static_cast<uint64_t>(b) * block_rows_;
     const uint64_t count = std::min(block_rows_, n - first);
-    ColumnBlock block(schema_);
-    block.Reset(first);
-    source_->FillBlock(b, first, count, &block);
-    CAPD_CHECK_EQ(block.num_rows(), count)
+    source_->GenerateRows(b, first, count, /*wanted=*/nullptr, &per_block[b]);
+    CAPD_CHECK_EQ(per_block[b].size(), count)
         << "table " << name_ << " block " << b;
-    std::vector<Row>& rows = per_block[b];
-    rows.reserve(count);
-    Row scratch;
-    for (uint64_t r = 0; r < count; ++r) {
-      block.RowAt(r, &scratch);
-      rows.push_back(scratch);
-    }
   });
   for (std::vector<Row>& rows : per_block) {
     for (Row& r : rows) out->AddRow(std::move(r));

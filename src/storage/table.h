@@ -1,9 +1,9 @@
 // Tables come in two physical flavors behind one interface:
 //   - materialized: rows live in a vector (the seed's representation; all
 //     laptop-scale workloads and every sample table use it);
-//   - blocked/generated: fixed-size columnar blocks produced on demand by a
-//     seeded BlockSource, so a 10^7-10^8-row table is scanned one block at
-//     a time and never fully resident.
+//   - blocked/generated: fixed-size blocks produced on demand by a seeded
+//     BlockSource, so a 10^7-10^8-row table is scanned one block at a time
+//     and never fully resident.
 // The physical-design machinery derives page counts through the index
 // builder rather than from a real buffer pool, which is all the paper's
 // evaluation needs. Scans go through ScanRows/CollectRows, which work on
@@ -62,14 +62,16 @@ class Table {
   }
 
   // Streams every row in order: fn(global_row_index, row). Peak memory is
-  // O(block) for generated tables (one scratch block + one scratch row),
-  // O(1) extra for materialized ones. The Row reference is only valid for
+  // O(block) for generated tables (one block of rows), O(1) extra for
+  // materialized ones. The Row reference is only valid for
   // the duration of the call.
   void ScanRows(const std::function<void(uint64_t, const Row&)>& fn) const;
 
-  // Copies the rows at `sorted_indices` (ascending, in [0, num_rows())),
-  // generating only the blocks that contain a requested index. This is the
-  // streaming half of sample extraction: O(|indices| + block) memory.
+  // Copies the rows at `sorted_indices` (strictly ascending, in
+  // [0, num_rows()); CHECK-fails otherwise on both backends). A generated
+  // table builds only the requested rows, visiting only the blocks that
+  // hold one. This is the streaming half of sample extraction:
+  // O(|indices|) memory.
   std::vector<Row> CollectRows(
       const std::vector<uint64_t>& sorted_indices) const;
 

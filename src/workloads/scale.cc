@@ -32,7 +32,9 @@ std::string RegionName(uint64_t i) {
 // Per-block row generator for the `events` fact table. Each block draws
 // from a fresh Random seeded by BlockSeed(seed, block), so any block can be
 // produced independently (and concurrently) and always yields the same
-// bytes. The Zipf generators are shared: Next() is const and thread-safe.
+// bytes. Every row takes all of its draws; only kept rows pay for the Zipf
+// lookups, the region string and their Values. The Zipf generators are
+// shared: Rank() is const and thread-safe.
 class EventsSource : public BlockSource {
  public:
   EventsSource(uint64_t seed, uint64_t n_devices, uint64_t sensor_domain)
@@ -41,27 +43,37 @@ class EventsSource : public BlockSource {
         device_zipf_(n_devices, 1.0),
         sensor_zipf_(sensor_domain, 1.0) {}
 
-  void FillBlock(uint64_t block_index, uint64_t first_row, uint64_t count,
-                 ColumnBlock* out) const override {
+  void GenerateRows(uint64_t block_index, uint64_t first_row, uint64_t count,
+                    const std::vector<uint32_t>* wanted,
+                    std::vector<Row>* out) const override {
     Random rng(BlockSeed(seed_, block_index));
-    Row row;
-    row.reserve(8);
+    size_t next = 0;  // next entry of *wanted
     for (uint64_t r = 0; r < count; ++r) {
-      const uint64_t global = first_row + r;
-      row.clear();
-      row.push_back(Value::Int64(static_cast<int64_t>(global) + 1));
-      row.push_back(Value::Int64(
-          static_cast<int64_t>(device_zipf_.Next(&rng)) + 1));
-      row.push_back(Value::Int64(
-          static_cast<int64_t>(sensor_zipf_.Next(&rng)) + 1));
-      row.push_back(Value::Date(rng.Uniform(kDateLo, kDateHi - 1)));
-      row.push_back(Value::Double(static_cast<double>(rng.Uniform(0, 1000))));
+      const double device_u = rng.NextDouble();
+      const double sensor_u = rng.NextDouble();
+      const int64_t ts = rng.Uniform(kDateLo, kDateHi - 1);
+      const int64_t value = rng.Uniform(0, 1000);
       // ~90% healthy readings, the rest error/warn/critical.
-      row.push_back(Value::String(
-          rng.Next(10) < 9 ? "O" : kStatuses[rng.Next(3)]));
-      row.push_back(Value::String(RegionName(rng.Next(kNumRegions))));
-      row.push_back(Value::Int64(rng.Uniform(0, 99)));
-      out->AppendRow(row);
+      const char* status = rng.Next(10) < 9 ? "O" : kStatuses[rng.Next(3)];
+      const uint64_t region = rng.Next(kNumRegions);
+      const int64_t payload = rng.Uniform(0, 99);
+      if (wanted != nullptr) {
+        if (next == wanted->size() || (*wanted)[next] != r) continue;
+        ++next;
+      }
+      Row row;
+      row.reserve(8);
+      row.push_back(Value::Int64(static_cast<int64_t>(first_row + r) + 1));
+      row.push_back(Value::Int64(
+          static_cast<int64_t>(device_zipf_.Rank(device_u)) + 1));
+      row.push_back(Value::Int64(
+          static_cast<int64_t>(sensor_zipf_.Rank(sensor_u)) + 1));
+      row.push_back(Value::Date(ts));
+      row.push_back(Value::Double(static_cast<double>(value)));
+      row.push_back(Value::String(status));
+      row.push_back(Value::String(RegionName(region)));
+      row.push_back(Value::Int64(payload));
+      out->push_back(std::move(row));
     }
   }
 

@@ -270,6 +270,30 @@ TEST(ZipfTest, NextConsumesExactlyOneDoubleInBothRegimes) {
   }
 }
 
+// Next() is the draw plus the lookup: twin engines, one through Next(), the
+// other through Rank(NextDouble()), stay in lockstep in the exact head, the
+// analytic tail and the uniform degenerate case.
+TEST(ZipfTest, NextEqualsRankOfNextDouble) {
+  const struct {
+    uint64_t n;
+    double theta;
+  } cases[] = {{1000, 1.0},
+               {ZipfGenerator::kCdfCap, 1.0},
+               {4 * ZipfGenerator::kCdfCap, 1.0},
+               {4 * ZipfGenerator::kCdfCap, 0.5},
+               {4 * ZipfGenerator::kCdfCap, 2.0},
+               {1000, 0.0},
+               {4 * ZipfGenerator::kCdfCap, 0.0}};
+  for (const auto& c : cases) {
+    const ZipfGenerator zipf(c.n, c.theta);
+    Random a(99), b(99);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(zipf.Next(&a), zipf.Rank(b.NextDouble()))
+          << "n=" << c.n << " theta=" << c.theta << " i=" << i;
+    }
+  }
+}
+
 TEST(ZipfTest, HundredMillionKeysConstructsCapped) {
   // O(cap) memory and construction: the CDF table stops at kCdfCap no
   // matter how large n is.
