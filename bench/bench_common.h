@@ -94,9 +94,9 @@ inline std::string FracLabel(double v) {
 }
 
 // Everything a tuning experiment needs: the dataset plus an AdvisorEngine
-// owning the whole collaborator stack (samples, MVs, optimizer, pools).
-// Variant knobs reach the engine through TuneWithOptions, which honors the
-// caller's AdvisorOptions verbatim — the ablation escape hatch the
+// owning the collaborator stack (samples, MVs, optimizer). Variant knobs
+// reach the engine through TuneWithOptions, which honors the caller's
+// AdvisorOptions verbatim, pools included — the ablation escape hatch the
 // request/strategy API deliberately does not expose.
 struct Stack {
   std::unique_ptr<Database> db;
@@ -239,13 +239,14 @@ inline void RunImprovementTable(BenchContext* ctx, Stack* s, const Workload& w,
   std::printf("%-12s", "Budget");
   for (const Variant& v : variants) std::printf(" %12s", v.name.c_str());
   std::printf("\n");
+  ThreadPool pool(ctx->flags.threads);
   for (double frac : budget_fracs) {
     const double kb =
         frac * static_cast<double>(s->db->BaseDataBytes()) / 1024.0;
     std::printf("%3.0f%% (%4.0fKB)", frac * 100, kb);
     for (const Variant& v : variants) {
       AdvisorOptions options = v.options;
-      options.num_threads = ctx->flags.threads;
+      options.pool = &pool;
       const auto t0 = std::chrono::steady_clock::now();
       const AdvisorResult r = s->Tune(options, frac, w);
       const double ms = Millis(t0, std::chrono::steady_clock::now());

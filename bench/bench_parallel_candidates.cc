@@ -86,9 +86,10 @@ void Run(BenchContext& ctx) {
   PrintHeader("Candidate selection + enumeration thread scaling (cache on)");
   PrintPhaseHeader();
   for (int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
     AdvisorOptions options = base;
     options.cost_cache = true;
-    options.num_threads = threads;
+    options.pool = &pool;
     const AdvisorResult r = s.Tune(options, budget, w);
     char label[16];
     std::snprintf(label, sizeof(label), "t=%d", threads);
@@ -101,8 +102,9 @@ void Run(BenchContext& ctx) {
   PrintPhaseHeader();
   AdvisorResult staged_serial;
   for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
     AdvisorOptions options = base;
-    options.num_threads = threads;
+    options.pool = &pool;
     SizeEstimator estimator(*s.db, s.mvs(), ErrorModel(),
                             options.size_options);
     Advisor advisor(*s.db, s.optimizer(), &estimator, s.mvs(), options);

@@ -74,9 +74,10 @@ void Run(BenchContext& ctx) {
               "identical");
   double serial_ms = 0.0;
   for (int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
     AdvisorOptions options = base;
     options.cost_cache = true;
-    options.num_threads = threads;
+    options.pool = &pool;
     const auto t0 = std::chrono::steady_clock::now();
     const AdvisorResult r = s.Tune(options, budget, w);
     const double ms = Millis(t0, std::chrono::steady_clock::now());

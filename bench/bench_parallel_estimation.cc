@@ -58,8 +58,9 @@ void Run(BenchContext& ctx) {
   double serial_ms = 0.0;
   SizeEstimator::BatchResult baseline;
   for (int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
     SizeEstimationOptions size_options = options.size_options;
-    size_options.num_threads = threads;
+    size_options.pool = &pool;
     SizeEstimator estimator(*s.db, s.mvs(), ErrorModel(), size_options);
     const auto t0 = std::chrono::steady_clock::now();
     const SizeEstimator::BatchResult batch = estimator.EstimateAll(targets);

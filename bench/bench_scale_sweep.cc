@@ -56,8 +56,9 @@ void RunScalePoint(BenchContext& ctx, uint64_t rows) {
   const double build_ms = Millis(b0, std::chrono::steady_clock::now());
 
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = ctx.flags.threads;
-  options.size_options.num_threads = ctx.flags.threads;
+  ThreadPool pool(ctx.flags.threads);
+  options.pool = &pool;
+  options.size_options.pool = &pool;
   // Constant absolute sample size across the sweep. Without this the
   // default fraction list would make the sample (and the estimation work)
   // grow linearly with the table, burying the sublinearity claim.

@@ -31,6 +31,9 @@ using namespace capd;
 
 namespace {
 
+// --threads ceiling: each engine pool starts this many workers at most.
+constexpr uint64_t kMaxThreads = 256;
+
 void Usage() {
   std::fprintf(
       stderr,
@@ -43,8 +46,9 @@ void Usage() {
       "  --budget accepts a percentage of the base data size (\"15%%\") or\n"
       "  an absolute byte count (\"1048576\"); --budget-frac takes the\n"
       "  fraction as a float. --threads drives both the search and the\n"
-      "  estimation pools (0 = hardware concurrency). --mv/--partial add\n"
-      "  MV and partial-index candidates on top of the chosen strategy.\n"
+      "  estimation pools (0 = hardware concurrency, at most 256).\n"
+      "  --mv/--partial add MV and partial-index candidates on top of the\n"
+      "  chosen strategy.\n"
       "  --timeout-ms/--priority run through the TuningService: a deadline\n"
       "  that fires mid-tune prints the best-so-far design and exits 3\n"
       "  (as does an overloaded rejection).\n"
@@ -160,7 +164,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--budget-frac") {
       budget = TuningBudget::Fraction(ParseDoubleFlag("--budget-frac", next()));
     } else if (arg == "--threads") {
-      threads = static_cast<int>(ParseUint64Flag("--threads", next()));
+      const uint64_t value = ParseUint64Flag("--threads", next());
+      if (value > kMaxThreads) {
+        std::fprintf(stderr, "bad --threads value: must be <= %llu\n",
+                     static_cast<unsigned long long>(kMaxThreads));
+        Usage();
+        return 2;
+      }
+      threads = static_cast<int>(value);
     } else if (arg == "--insert-weight") {
       insert_weight = ParseDoubleFlag("--insert-weight", next());
     } else if (arg == "--timeout-ms") {

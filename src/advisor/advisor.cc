@@ -21,15 +21,6 @@ double Advisor::ChargedBytes(const Configuration& config) const {
   return charged;
 }
 
-ThreadPool* Advisor::Pool() const {
-  if (options_.pool != nullptr) return options_.pool;
-  if (options_.num_threads == 1) return nullptr;
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  return pool_.get();
-}
-
 bool Advisor::CancelRequested() const {
   return options_.cancel != nullptr &&
          options_.cancel->load(std::memory_order_relaxed);
@@ -66,7 +57,7 @@ double Advisor::PooledWorkloadCost(const Workload& workload,
     result->stmt_costs_computed += workload.statements.size();
   }
   const std::vector<double> costs = ParallelMap<double>(
-      Pool(), workload.statements.size(), [&](size_t i) {
+      options_.pool, workload.statements.size(), [&](size_t i) {
         // Remaining costings are skipped once a cancel fires; the partial
         // sum is meaningless, so callers must re-check CancelRequested()
         // before consuming the total.
@@ -167,8 +158,8 @@ std::vector<IndexDef> Advisor::SelectCandidates(
                ? cost_cache->Cost(stmt_index, config)
                : optimizer_->Cost(workload.statements[stmt_index], config);
   };
-  const std::vector<double> costs =
-      ParallelMap<double>(Pool(), selects.size() * stride, [&](size_t j) {
+  const std::vector<double> costs = ParallelMap<double>(
+      options_.pool, selects.size() * stride, [&](size_t j) {
         // Skipped costings yield 0.0, which makes every candidate look
         // irrelevant (cost >= base_cost) — harmless, because Tune discards
         // the selection as soon as it sees the cancel flag. The cost cache
@@ -271,7 +262,6 @@ Configuration Advisor::Enumerate(
       result->stmt_costs_computed += trials * workload.statements.size();
     }
   };
-  ThreadPool* workers = Pool();
 
   while (true) {
     // Cooperative cancel: between greedy steps the configuration is always
@@ -290,7 +280,7 @@ Configuration Advisor::Enumerate(
       if (CanAdd(config, pool[i])) addable.push_back(i);
     }
     const std::vector<double> trial_costs =
-        ParallelMap<double>(workers, addable.size(), [&](size_t k) {
+        ParallelMap<double>(options_.pool, addable.size(), [&](size_t k) {
           // Infinity reads as "no benefit", so skipped trials can never be
           // picked; the next loop iteration then observes the flag and
           // breaks with the coherent best-so-far configuration.
@@ -381,8 +371,8 @@ Configuration Advisor::Enumerate(
               }
             }
           }
-          const std::vector<double> swap_costs =
-              ParallelMap<double>(workers, fit_swaps.size(), [&](size_t k) {
+          const std::vector<double> swap_costs = ParallelMap<double>(
+              options_.pool, fit_swaps.size(), [&](size_t k) {
                 // Infinite swap costs can never beat best_fit/current, so a
                 // cancel mid-backtrack leaves the configuration untouched.
                 if (CancelRequested()) {

@@ -51,18 +51,14 @@ struct AdvisorOptions {
   bool backtracking = true;  // Section 6.2 oversize recovery
 
   // --- search-loop performance knobs ---
-  // Worker threads for the advisor's independent what-if costings: the
-  // per-query single-index costings of SelectCandidates, Enumerate's trial
+  // Pool for the advisor's independent what-if costings: the per-query
+  // single-index costings of SelectCandidates, Enumerate's trial
   // evaluations (the main candidate loop and the backtracking swap
-  // search), and the staged baseline's stage-2 re-costing. 1 = serial,
-  // 0 = hardware concurrency. Results are bit-identical at any thread
-  // count: costings are reduced serially in pool order. Independent of
-  // size_options.num_threads (the estimation pool).
-  int num_threads = 1;
-  // External search pool. When set it is used instead of (and regardless
-  // of) num_threads, and is not owned: the AdvisorEngine shares one search
-  // pool across requests this way. Results stay bit-identical — costings
-  // are reduced serially in pool order whatever executes them.
+  // search), and the staged baseline's stage-2 re-costing. Null runs
+  // serially. Not owned: the AdvisorEngine shares one search pool across
+  // requests. Results are bit-identical with or without a pool: costings
+  // are reduced serially in pool order. Independent of size_options.pool
+  // (the estimation pool).
   ThreadPool* pool = nullptr;
   // Per-statement what-if cost cache: adding an index only changes the
   // cost of statements touching its object, so unchanged statements reuse
@@ -86,24 +82,19 @@ struct AdvisorOptions {
   // production paths; see src/service/fault_injector.h.
   std::function<void(const std::string& phase)> fault_hook;
 
-  // Leading-key distinct-count ceiling for BITMAP candidate variants:
-  // columns above it never get a bitmap candidate (per-value bitmaps would
-  // outnumber their payoff). Only consulted when compression_variants
-  // contains kBitmap.
-  uint64_t bitmap_max_leading_distinct = 64;
-
   bool enable_partial = false;  // partial-index candidates
   bool enable_mv = false;       // MV + MV-index candidates
 
   // Size-estimation knobs (Section 5 framework). Noteworthy fields:
-  //   size_options.num_threads — parallel batch estimation: independent
-  //     SampleCF runs execute across this many workers (1 = serial,
-  //     0 = hardware concurrency) with bit-identical results.
+  //   size_options.pool — parallel batch estimation: independent SampleCF
+  //     runs execute on this pool (null = serial) with bit-identical
+  //     results.
   //   size_options.cache — shared cross-round EstimationCache: indexes
   //     priced in an earlier advisor round (initial pool, merged pool,
   //     staged baseline) are reused instead of re-sampled.
-  // Callers that construct the SizeEstimator themselves must build it from
-  // this struct for the knobs to take effect (see bench/bench_common.h).
+  // The Advisor sizes through the SizeEstimator it is handed, so whoever
+  // constructs that estimator must build it from this struct for these
+  // knobs to take effect (AdvisorEngine::Tune and TuneWithOptions do).
   SizeEstimationOptions size_options;
 
   // Prints greedy/backtracking decisions to stderr (debugging aid).

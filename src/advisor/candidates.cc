@@ -172,7 +172,7 @@ bool CandidateGenerator::BitmapEligible(const IndexDef& def) const {
   if (!db_->HasTable(def.object)) return false;
   const ColumnStats& cs =
       db_->stats(def.object).column(def.key_columns.front());
-  return cs.distinct <= options_->bitmap_max_leading_distinct;
+  return cs.distinct <= kBitmapMaxLeadingDistinct;
 }
 
 std::vector<IndexDef> CandidateGenerator::MergeCandidates(

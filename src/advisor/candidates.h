@@ -5,6 +5,7 @@
 #ifndef CAPD_ADVISOR_CANDIDATES_H_
 #define CAPD_ADVISOR_CANDIDATES_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,6 +40,11 @@ class CandidateGenerator {
   // Appends the enabled compression variants of `def`. The kBitmap variant
   // is gated by BitmapEligible (low-distinct leading key on a real table).
   void AddVariants(const IndexDef& def, std::vector<IndexDef>* out) const;
+
+  // BitmapEligible's leading-key distinct-count ceiling: columns above it
+  // never get a bitmap candidate (per-value bitmaps would outnumber their
+  // payoff).
+  static constexpr uint64_t kBitmapMaxLeadingDistinct = 64;
 
  private:
   bool BitmapEligible(const IndexDef& def) const;

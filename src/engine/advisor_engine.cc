@@ -14,28 +14,15 @@ AdvisorEngine::AdvisorEngine(const Database& db, EngineOptions options)
       options_(std::move(options)),
       samples_(options_.sample_seed),
       mvs_(db, &samples_),
-      optimizer_(db, CostModelParams{}) {
+      optimizer_(db, CostModelParams{}),
+      estimation_cache_(std::make_shared<EstimationCache>()) {
   optimizer_.set_mv_matcher(&mvs_);
-  if (options_.share_estimation_cache) {
-    estimation_cache_ = std::make_shared<EstimationCache>();
+  if (options_.search_threads != 1) {
+    search_pool_ = std::make_unique<ThreadPool>(options_.search_threads);
   }
-}
-
-ThreadPool* AdvisorEngine::PoolFor(int threads) {
-  if (threads == 1) return nullptr;
-  if (threads < 0) threads = 0;  // normalize: 0 = hardware concurrency
-  std::lock_guard<std::mutex> lock(pools_mu_);
-  std::unique_ptr<ThreadPool>& pool = pools_[threads];
-  if (pool == nullptr) pool = std::make_unique<ThreadPool>(threads);
-  return pool.get();
-}
-
-void AdvisorEngine::LendPools(AdvisorOptions* options) {
-  if (options->pool == nullptr) {
-    options->pool = PoolFor(options->num_threads);
-  }
-  if (options->size_options.pool == nullptr) {
-    options->size_options.pool = PoolFor(options->size_options.num_threads);
+  if (options_.estimation_threads != 1) {
+    estimation_pool_ =
+        std::make_unique<ThreadPool>(options_.estimation_threads);
   }
 }
 
@@ -63,23 +50,16 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
 
   // Strategy base options + request knobs + engine-owned collaborators.
   AdvisorOptions options = strategy->MakeOptions();
-  options.num_threads = request.search_threads >= 0 ? request.search_threads
-                                                    : options_.search_threads;
-  options.size_options.num_threads = request.estimation_threads >= 0
-                                         ? request.estimation_threads
-                                         : options_.estimation_threads;
-  options.cost_cache =
-      request.cost_cache >= 0 ? request.cost_cache != 0 : options_.cost_cache;
+  options.pool = search_pool_.get();
+  options.size_options.pool = estimation_pool_.get();
   if (request.enable_mv >= 0) options.enable_mv = request.enable_mv != 0;
   if (request.enable_partial >= 0) {
     options.enable_partial = request.enable_partial != 0;
   }
-  if (estimation_cache_ != nullptr) {
-    options.size_options.cache = estimation_cache_;
-    // Fraction-exact mode: warmth must never change what a request
-    // computes — see the determinism contract in the header.
-    options.size_options.cache_fraction_exact = true;
-  }
+  options.size_options.cache = estimation_cache_;
+  // Fraction-exact mode: warmth must never change what a request computes
+  // — see the determinism contract in the header.
+  options.size_options.cache_fraction_exact = true;
   options.trace = options.trace || request.trace;
   options.cancel = request.cancel.flag();
   // Deep cancellation: the estimation batches poll the same flag inside
@@ -88,7 +68,6 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
   options.size_options.cancel = options.cancel;
   options.progress = request.progress;
   options.fault_hook = request.fault_hook;
-  LendPools(&options);
 
   RequestScope scope = ScopeFor(options);
   try {
@@ -142,11 +121,9 @@ AdvisorEngine::RequestScope AdvisorEngine::ScopeFor(
 AdvisorResult AdvisorEngine::TuneWithOptions(const Workload& workload,
                                              double budget_bytes,
                                              const AdvisorOptions& options) {
-  AdvisorOptions wired = options;
-  LendPools(&wired);
-  RequestScope scope = ScopeFor(wired);
-  SizeEstimator estimator(*db_, scope.mvs, ErrorModel(), wired.size_options);
-  Advisor advisor(*db_, *scope.optimizer, &estimator, scope.mvs, wired);
+  RequestScope scope = ScopeFor(options);
+  SizeEstimator estimator(*db_, scope.mvs, ErrorModel(), options.size_options);
+  Advisor advisor(*db_, *scope.optimizer, &estimator, scope.mvs, options);
   return advisor.Tune(workload, budget_bytes);
 }
 

@@ -29,9 +29,7 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "advisor/advisor.h"
@@ -42,26 +40,16 @@
 namespace capd {
 
 struct EngineOptions {
-  // Default worker threads for a request's search loop (what-if costings)
-  // and estimation batches; 1 = serial, 0 = hardware concurrency.
-  // Requests may override per call. Pools are created lazily, owned by the
-  // engine, and shared across concurrent requests (results stay
-  // bit-identical at any thread count).
+  // Worker threads for every request's search loop (what-if costings) and
+  // estimation batches; 1 = serial, 0 = hardware concurrency. The engine
+  // builds each pool once, at construction, and shares it across
+  // concurrent requests (results stay bit-identical at any thread count).
   int search_threads = 1;
   int estimation_threads = 1;
 
   // Seed of the engine-owned SampleManager. Samples are seeded per cache
   // key, so any fixed seed gives run-to-run reproducibility.
   uint64_t sample_seed = 4242;
-
-  // Cross-request estimation cache (fraction-exact mode, see
-  // SizeEstimationOptions::cache_fraction_exact, unbounded): indexes priced
-  // by one request are not re-sampled by the next.
-  bool share_estimation_cache = true;
-
-  // Default for TuningRequest::cost_cache (the per-request sharded
-  // statement cost cache).
-  bool cost_cache = true;
 };
 
 // Cooperative cancellation handle. Copies share the flag: keep one, put
@@ -111,10 +99,6 @@ struct TuningRequest {
   std::string strategy = "dtac-both";
   TuningBudget budget;  // default: 20% of base data
 
-  // --- knobs (engine / strategy defaults when negative) ---
-  int search_threads = -1;
-  int estimation_threads = -1;
-  int cost_cache = -1;  // -1 = engine default, 0 = off, 1 = on
   // Candidate-class toggles overlaying the strategy's base options
   // (-1 = strategy default, 0 = off, 1 = on). MV-enabled requests tune
   // against a request-private MV registry, so their workload-derived view
@@ -179,9 +163,10 @@ class AdvisorEngine {
   TuningResponse Tune(const TuningRequest& request);
 
   // Low-level escape hatch: run Advisor::Tune with caller-built options on
-  // the engine-owned stack (the options are honored verbatim; the engine
-  // only lends its thread pools when the options name no external pool).
-  // Benches use this for ablation variants no registered strategy covers.
+  // the engine-owned stack. The options are honored verbatim, pools
+  // included: a null pool runs serially, and the engine's own pools and
+  // estimation cache are not lent. Benches use this for ablation variants
+  // no registered strategy covers.
   AdvisorResult TuneWithOptions(const Workload& workload, double budget_bytes,
                                 const AdvisorOptions& options);
 
@@ -210,22 +195,18 @@ class AdvisorEngine {
   };
   RequestScope ScopeFor(const AdvisorOptions& options);
 
-  // Engine-owned pool for `threads` workers (lazily created, reused, keyed
-  // by count); null when threads == 1.
-  ThreadPool* PoolFor(int threads);
-
-  // Overlays engine pools (and nothing else) onto per-request options.
-  void LendPools(AdvisorOptions* options);
-
   const Database* db_;
   const EngineOptions options_;
   SampleManager samples_;
   MVRegistry mvs_;
   WhatIfOptimizer optimizer_;
-  std::shared_ptr<EstimationCache> estimation_cache_;  // null when not shared
-
-  std::mutex pools_mu_;
-  std::map<int, std::unique_ptr<ThreadPool>> pools_;  // by thread count
+  // Cross-request estimation cache (fraction-exact mode, see
+  // SizeEstimationOptions::cache_fraction_exact, unbounded): indexes priced
+  // by one request are not re-sampled by the next.
+  std::shared_ptr<EstimationCache> estimation_cache_;
+  // Built from options_ at construction; null when the count is 1.
+  std::unique_ptr<ThreadPool> search_pool_;
+  std::unique_ptr<ThreadPool> estimation_pool_;
 };
 
 }  // namespace capd

@@ -172,6 +172,18 @@ void EstimationGraph::GenerateDeductionsFor(size_t node_id) {
 }
 
 void EstimationGraph::RefreshCosts(double f, ThreadPool* pool) {
+  // Samples are drawn here, on the calling thread, before the fan-out.
+  // Drawing one is serialized inside the sample source anyway, and doing
+  // it from whichever worker reached an object first would scatter the
+  // samples' memory over the workers' allocator arenas by scheduling luck,
+  // making the process's peak memory vary from run to run.
+  std::set<std::string> drawn;
+  for (const IndexNode& node : nodes_) {
+    if (node.is_existing || Cancelled()) continue;
+    if (drawn.insert(node.def.object).second) {
+      source_->Sample(node.def.object, f);
+    }
+  }
   // Each probe scans the object's sample once (filter hit counting); the
   // probes are independent and the shared sample caches are thread-safe,
   // so they batch across the pool. Writes go to disjoint nodes. Once a

@@ -6,15 +6,6 @@
 
 namespace capd {
 
-ThreadPool* SizeEstimator::Pool() {
-  if (options_.pool != nullptr) return options_.pool;
-  if (options_.num_threads == 1) return nullptr;
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  return pool_.get();
-}
-
 SizeEstimator::BatchResult SizeEstimator::EstimateAll(
     const std::vector<IndexDef>& targets) {
   BatchResult result;
@@ -61,7 +52,7 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
   auto execute_plan = [&](double f) {
     result.chosen_f = f;
     for (auto& [sig, r] :
-         graph.Execute(f, Pool(), exact_cache, &result.cache_hits)) {
+         graph.Execute(f, options_.pool, exact_cache, &result.cache_hits)) {
       if (options_.cache != nullptr && exact_cache == nullptr) {
         options_.cache->Insert(sig, f, r);
       }
@@ -78,14 +69,14 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
     double best_f = options_.fractions.back();
     for (double f : options_.fractions) {
       if (cancelled()) return result;  // deadline binds between probes
-      graph.SampleAllTargets(f, Pool());
+      graph.SampleAllTargets(f, options_.pool);
       if (graph.AssignmentSatisfies(options_.e, options_.q, f)) {
         best_f = f;
         break;
       }
     }
     if (cancelled()) return result;
-    result.total_cost_pages = graph.SampleAllTargets(best_f, Pool());
+    result.total_cost_pages = graph.SampleAllTargets(best_f, options_.pool);
     execute_plan(best_f);
     result.num_deduced = 0;
     return result;
@@ -105,7 +96,7 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
     // the batch anyway. The graph also polls inside its own probe and leaf
     // loops, so a deadline binds mid-fraction, not just between fractions.
     if (cancelled()) return result;
-    const double cost = graph.Greedy(f, options_.e, options_.q, Pool());
+    const double cost = graph.Greedy(f, options_.e, options_.q, options_.pool);
     if (!graph.AssignmentSatisfies(options_.e, options_.q, f)) continue;
     if (cost < best_cost) {
       best_cost = cost;
@@ -115,7 +106,7 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
   if (cancelled()) return result;
   // Re-run the winning plan (the graph holds the last run's states).
   result.total_cost_pages =
-      graph.Greedy(best_f, options_.e, options_.q, Pool());
+      graph.Greedy(best_f, options_.e, options_.q, options_.pool);
   execute_plan(best_f);
   return result;
 }
@@ -135,13 +126,22 @@ SampleCfResult SizeEstimator::UncompressedSize(const IndexDef& def) {
 
 std::vector<SampleCfResult> SizeEstimator::UncompressedSizeAll(
     const std::vector<IndexDef>& defs) {
-  return ParallelMap<SampleCfResult>(Pool(), defs.size(), [&](size_t i) {
+  auto cancelled = [this] {
+    return options_.cancel != nullptr &&
+           options_.cancel->load(std::memory_order_relaxed);
+  };
+  // Partial indexes count filter hits on the sample: draw it on the
+  // calling thread, as EstimationGraph::RefreshCosts does, so its memory
+  // does not land in whichever worker got there first.
+  for (const IndexDef& def : defs) {
+    if (def.filter.has_value() && !cancelled()) {
+      source_->Sample(def.object, options_.fractions.front());
+    }
+  }
+  return ParallelMap<SampleCfResult>(options_.pool, defs.size(), [&](size_t i) {
     // Skipped entries come back zeroed; a cancelled advisor run discards
     // the whole batch, so they are never read.
-    if (options_.cancel != nullptr &&
-        options_.cancel->load(std::memory_order_relaxed)) {
-      return SampleCfResult{};
-    }
+    if (cancelled()) return SampleCfResult{};
     return UncompressedSize(defs[i]);
   });
 }

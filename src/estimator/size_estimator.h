@@ -29,11 +29,6 @@ struct SizeEstimationOptions {
   // first sibling's sample instead of each being charged a sampling pass.
   // Off by default so pre-existing batch plans stay byte-identical.
   bool enable_sort_order_deduction = false;
-  // Worker threads for the batch-execution phase (independent SampleCF
-  // runs). 1 = serial, 0 = hardware concurrency. Any value produces
-  // byte-identical results: per-key sample seeding makes the parallel
-  // path bit-equal to the serial one.
-  int num_threads = 1;
   // Optional cross-round cache: targets already priced at a candidate
   // fraction are reused instead of re-estimated (see estimation_cache.h).
   // Shared (and thread-safe), so one cache can serve several estimators.
@@ -53,9 +48,10 @@ struct SizeEstimationOptions {
   //     what the cache already holds — the property that lets one warm
   //     cache serve concurrent tuning requests deterministically.
   bool cache_fraction_exact = false;
-  // External pool for the batch-execution phase. When set it is used
-  // instead of (and regardless of) num_threads, and is not owned: the
-  // AdvisorEngine shares one estimation pool across requests this way.
+  // Pool for the batch-execution phase (independent SampleCF runs); null
+  // runs serially. Not owned: the AdvisorEngine shares one estimation pool
+  // across requests. Any pool produces byte-identical results: per-key
+  // sample seeding makes the parallel path bit-equal to the serial one.
   ThreadPool* pool = nullptr;
   // Cooperative cancellation, polled inside the batch itself (per fraction
   // probe and per SampleCF leaf) so a deadline binds within a long
@@ -106,16 +102,10 @@ class SizeEstimator {
   const ErrorModel& model() const { return model_; }
 
  private:
-  // The pool for EstimateAll's execution phase: options_.pool when set,
-  // otherwise created on first use and reused across batches; null when
-  // options_.num_threads == 1.
-  ThreadPool* Pool();
-
   const Database* db_;
   SampleSource* source_;
   ErrorModel model_;
   SizeEstimationOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace capd

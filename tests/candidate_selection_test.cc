@@ -114,14 +114,14 @@ TEST_F(CandidateSelectionTest, ParallelSelectionIdenticalToSerial) {
        {CandidateSelectionMode::kSkyline, CandidateSelectionMode::kTopK}) {
     AdvisorOptions serial = AdvisorOptions::DTAcBoth();
     serial.selection = mode;
-    serial.num_threads = 1;
     const std::vector<IndexDef> base = Select(workload_, serial, false);
     EXPECT_GT(base.size(), 0u);
 
     for (int threads : {1, 2, 4, 8}) {
+      ThreadPool pool(threads);
       for (bool cache : {false, true}) {
         AdvisorOptions options = serial;
-        options.num_threads = threads;
+        options.pool = &pool;
         const std::vector<IndexDef> got = Select(workload_, options, cache);
         ASSERT_EQ(base.size(), got.size())
             << "threads=" << threads << " cache=" << cache;
@@ -221,14 +221,14 @@ TEST_F(CandidateSelectionTest, StagedBaselineNeverBeatsDTAc) {
 TEST_F(CandidateSelectionTest, StagedBaselineParallelIdenticalToSerial) {
   AdvisorOptions serial = AdvisorOptions::DTAcNone();
   serial.cost_cache = false;
-  serial.num_threads = 1;
   const AdvisorResult base = Tune(serial, 0.15, /*staged=*/true);
 
   for (int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
     for (bool cache : {false, true}) {
       AdvisorOptions parallel = serial;
       parallel.cost_cache = cache;
-      parallel.num_threads = threads;
+      parallel.pool = &pool;
       ExpectBitIdentical(base, Tune(parallel, 0.15, /*staged=*/true));
     }
   }
@@ -237,13 +237,13 @@ TEST_F(CandidateSelectionTest, StagedBaselineParallelIdenticalToSerial) {
 TEST_F(CandidateSelectionTest, FullTuneParallelIdenticalToSerial) {
   AdvisorOptions serial = AdvisorOptions::DTAcBoth();
   serial.cost_cache = false;
-  serial.num_threads = 1;
   const AdvisorResult base = Tune(serial, 0.12);
 
   for (int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
     AdvisorOptions parallel = serial;
     parallel.cost_cache = true;
-    parallel.num_threads = threads;
+    parallel.pool = &pool;
     const AdvisorResult r = Tune(parallel, 0.12);
     ExpectBitIdentical(base, r);
     // Selection costings now flow through the shared cost cache and warm

@@ -139,8 +139,9 @@ TEST_F(AdvisorEdgeCase, EmptyWorkloadParallelAndStaged) {
   // The parallel selection/enumeration fan-out and the staged baseline's
   // stage 2 must survive a workload with no statements (zero-shard cost
   // cache, zero costing jobs).
+  ThreadPool pool(4);
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 4;
+  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult tuned = advisor.Tune(Workload{}, 1e9);
   EXPECT_EQ(tuned.config.size(), 0u);
@@ -153,8 +154,9 @@ TEST_F(AdvisorEdgeCase, EmptyWorkloadParallelAndStaged) {
 TEST_F(AdvisorEdgeCase, ZeroStorageBudget) {
   // At a 0-byte budget only configurations that free space (compressed
   // clustered indexes replacing the heap) may be charged.
+  ThreadPool pool(2);
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 2;
+  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult r = advisor.Tune(workload_, 0.0);
   EXPECT_LE(r.charged_bytes, 1.0);
@@ -167,12 +169,12 @@ TEST_F(AdvisorEdgeCase, SingleStatementWorkloadParallelMatchesSerial) {
   ASSERT_EQ(single.statements.front().type, StatementType::kSelect);
 
   AdvisorOptions serial = AdvisorOptions::DTAcBoth();
-  serial.num_threads = 1;
   Advisor a1(db_, *optimizer_, sizes_.get(), nullptr, serial);
   const AdvisorResult base = a1.Tune(single, 1e9);
 
+  ThreadPool pool(8);  // more workers than costing jobs per query
   AdvisorOptions parallel = serial;
-  parallel.num_threads = 8;  // more workers than costing jobs per query
+  parallel.pool = &pool;
   Advisor a2(db_, *optimizer_, sizes_.get(), nullptr, parallel);
   const AdvisorResult r = a2.Tune(single, 1e9);
   EXPECT_DOUBLE_EQ(base.final_cost, r.final_cost);
@@ -180,9 +182,10 @@ TEST_F(AdvisorEdgeCase, SingleStatementWorkloadParallelMatchesSerial) {
 }
 
 TEST_F(AdvisorEdgeCase, TopKZeroSelectsNothing) {
+  ThreadPool pool(2);
   AdvisorOptions options = AdvisorOptions::DTAcNone();
   options.top_k = 0;
-  options.num_threads = 2;
+  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult r = advisor.Tune(workload_, 1e9);
   // An empty candidate pool must yield an empty (not crashed) tuning.
@@ -194,9 +197,11 @@ TEST_F(AdvisorEdgeCase, TopKZeroSelectsNothing) {
 TEST_F(AdvisorEdgeCase, UnboundedEstimationCacheWithThreads) {
   // Capacity 0 means "unbounded", and it must compose with both thread
   // pools (estimation + search) without crashing or drifting.
+  ThreadPool search_pool(4);
+  ThreadPool estimation_pool(2);
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 4;
-  options.size_options.num_threads = 2;
+  options.pool = &search_pool;
+  options.size_options.pool = &estimation_pool;
   options.size_options.cache =
       std::make_shared<EstimationCache>(/*capacity_bytes=*/0);
   SizeEstimator estimator(db_, source_.get(), ErrorModel(),

@@ -123,10 +123,12 @@ TEST_F(EngineTest, ConcurrentTuneBitIdenticalToFreshStacks) {
                                       BudgetBytes());
   }
 
-  for (const bool shared_cache : {true, false}) {
+  // Serial, and with both engine pools shared by the concurrent requests.
+  for (const int engine_threads : {1, 2}) {
     for (const int clients : {1, 2, 4}) {
       EngineOptions options;
-      options.share_estimation_cache = shared_cache;
+      options.search_threads = engine_threads;
+      options.estimation_threads = engine_threads;
       AdvisorEngine engine(*built_.db, options);
 
       std::vector<TuningResponse> responses(clients);
@@ -142,7 +144,7 @@ TEST_F(EngineTest, ConcurrentTuneBitIdenticalToFreshStacks) {
       for (int c = 0; c < clients; ++c) {
         const FreshRun& reference = fresh[kStrategies[c % 3]];
         SCOPED_TRACE(std::string(kStrategies[c % 3]) +
-                     " shared_cache=" + (shared_cache ? "on" : "off") +
+                     " engine_threads=" + std::to_string(engine_threads) +
                      " clients=" + std::to_string(clients));
         ASSERT_TRUE(responses[c].ok()) << responses[c].error;
         ExpectBitIdentical(reference.result, responses[c].result);
@@ -282,23 +284,18 @@ TEST_F(EngineTest, ZeroAndFullBudgetEdges) {
       << "a roomy budget can only help";
 }
 
-TEST_F(EngineTest, RequestKnobsOverrideEngineDefaults) {
+TEST_F(EngineTest, EngineThreadCountsNeverChangeResults) {
   EngineOptions options;
-  options.search_threads = 1;
-  options.estimation_threads = 1;
+  options.search_threads = 4;
+  options.estimation_threads = 2;
   AdvisorEngine engine(*built_.db, options);
   const FreshRun reference = RunOnFreshStack(*built_.db, built_.workload,
                                              "dtac-skyline", BudgetBytes());
-  TuningRequest request = MakeRequest("dtac-skyline");
-  request.search_threads = 4;
-  request.estimation_threads = 2;
-  request.cost_cache = 0;
-  const TuningResponse response = engine.Tune(request);
+  const TuningResponse response = engine.Tune(MakeRequest("dtac-skyline"));
   ASSERT_TRUE(response.ok()) << response.error;
-  // Threads and cache knobs never change the recommendation...
   ExpectBitIdentical(reference.result, response.result);
-  // ...and disabling the cost cache is observable in the counters.
-  EXPECT_EQ(response.result.stmt_costs_cached, 0u);
+  EXPECT_EQ(reference.report, response.report);
+  EXPECT_EQ(reference.json, response.json);
 }
 
 TEST_F(EngineTest, MvEnabledRequestsDoNotLeakAcrossRequests) {

@@ -77,14 +77,17 @@ TEST_F(ParallelEnumerationTest, CostCacheDoesNotChangeTheResult) {
 TEST_F(ParallelEnumerationTest, ParallelEnumerateBitIdenticalToSerial) {
   AdvisorOptions serial = AdvisorOptions::DTAcBoth();
   serial.cost_cache = false;
-  serial.num_threads = 1;
   const AdvisorResult base = Tune(serial, 0.08);
+  // With the cost cache off every costing runs the optimizer.
+  EXPECT_EQ(base.stmt_costs_cached, 0u);
+  EXPECT_GT(base.stmt_costs_computed, 0u);
 
   for (int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
     for (bool cache : {false, true}) {
       AdvisorOptions parallel = AdvisorOptions::DTAcBoth();
       parallel.cost_cache = cache;
-      parallel.num_threads = threads;
+      parallel.pool = &pool;
       ExpectBitIdentical(base, Tune(parallel, 0.08));
     }
   }
@@ -96,15 +99,17 @@ TEST_F(ParallelEnumerationTest, DensityGreedyParallelMatchesSerial) {
   serial.cost_cache = false;
   const AdvisorResult base = Tune(serial, 0.05);
 
+  ThreadPool pool(4);
   AdvisorOptions parallel = serial;
   parallel.cost_cache = true;
-  parallel.num_threads = 4;
+  parallel.pool = &pool;
   ExpectBitIdentical(base, Tune(parallel, 0.05));
 }
 
 TEST_F(ParallelEnumerationTest, HardwareConcurrencyKnobWorks) {
+  ThreadPool pool(0);  // hardware concurrency
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 0;  // hardware concurrency
+  options.pool = &pool;
   const AdvisorResult r = Tune(options, 0.10);
   EXPECT_GT(r.what_if_calls, 0u);
 }

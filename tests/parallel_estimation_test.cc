@@ -2,6 +2,10 @@
 // estimation cache: parallel EstimateAll must be byte-identical to serial,
 // and cached rounds must skip re-estimation entirely.
 #include <cstring>
+#include <map>
+#include <mutex>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -72,14 +76,13 @@ class ParallelEstimationTest : public ::testing::Test {
 };
 
 TEST_F(ParallelEstimationTest, ParallelEstimateAllBitIdenticalToSerial) {
-  SizeEstimationOptions serial;
-  serial.num_threads = 1;
-  const SizeEstimator::BatchResult base = RunBatch(serial);
+  const SizeEstimator::BatchResult base = RunBatch(SizeEstimationOptions());
   EXPECT_EQ(base.estimates.size(), Targets().size());
 
   for (int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
     SizeEstimationOptions parallel;
-    parallel.num_threads = threads;
+    parallel.pool = &pool;
     ExpectBitIdentical(base, RunBatch(parallel));
   }
 }
@@ -88,14 +91,16 @@ TEST_F(ParallelEstimationTest, ParallelIdenticalInNoDeductionMode) {
   SizeEstimationOptions serial;
   serial.use_deduction = false;
   const SizeEstimator::BatchResult base = RunBatch(serial);
+  ThreadPool pool(4);
   SizeEstimationOptions parallel = serial;
-  parallel.num_threads = 4;
+  parallel.pool = &pool;
   ExpectBitIdentical(base, RunBatch(parallel));
 }
 
 TEST_F(ParallelEstimationTest, HardwareConcurrencyKnobWorks) {
+  ThreadPool pool(0);  // hardware concurrency
   SizeEstimationOptions options;
-  options.num_threads = 0;  // hardware concurrency
+  options.pool = &pool;
   const SizeEstimator::BatchResult r = RunBatch(options);
   EXPECT_EQ(r.estimates.size(), Targets().size());
 }
@@ -103,9 +108,67 @@ TEST_F(ParallelEstimationTest, HardwareConcurrencyKnobWorks) {
 TEST_F(ParallelEstimationTest, RepeatedRunsAreDeterministic) {
   // Same seed, fresh samples: estimates must be reproducible run to run
   // (per-key RNG seeding, not draw-order seeding).
+  ThreadPool pool(4);
   SizeEstimationOptions options;
-  options.num_threads = 4;
+  options.pool = &pool;
   ExpectBitIdentical(RunBatch(options), RunBatch(options));
+}
+
+// Records which thread first asked for each (object, fraction) sample,
+// i.e. which thread drew it.
+class DrawThreadRecorder : public SampleSource {
+ public:
+  DrawThreadRecorder(const Database& db, SampleManager* samples)
+      : inner_(db, samples) {}
+
+  const Table& Sample(const std::string& object, double f) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      drawn_by_.emplace(object + "|" + std::to_string(f),
+                        std::this_thread::get_id());
+    }
+    return inner_.Sample(object, f);
+  }
+  double FullTuples(const std::string& object) override {
+    return inner_.FullTuples(object);
+  }
+  const Schema& ObjectSchema(const std::string& object) override {
+    return inner_.ObjectSchema(object);
+  }
+
+  std::map<std::string, std::thread::id> drawn_by() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return drawn_by_;
+  }
+
+ private:
+  TableSampleSource inner_;
+  mutable std::mutex mu_;
+  std::map<std::string, std::thread::id> drawn_by_;
+};
+
+TEST_F(ParallelEstimationTest, SamplesAreDrawnOnTheCallingThread) {
+  // Where a sample is drawn decides which allocator arena holds it; a
+  // worker-drawn sample makes the process's peak memory depend on
+  // scheduling. Both parallel batch entry points draw on the caller.
+  ThreadPool pool(4);
+  SizeEstimationOptions options;
+  options.pool = &pool;
+  SampleManager samples(1234);
+  DrawThreadRecorder source(db_, &samples);
+  SizeEstimator estimator(db_, &source, ErrorModel(), options);
+
+  IndexDef partial = Idx({"l_shipdate"}, CompressionKind::kNone);
+  partial.filter =
+      ColumnFilter{"l_quantity", FilterOp::kLt, Value::Int64(10), {}};
+  estimator.UncompressedSizeAll({partial, partial, partial, partial});
+  estimator.EstimateAll(Targets());
+
+  const std::map<std::string, std::thread::id> drawn_by = source.drawn_by();
+  EXPECT_GE(drawn_by.size(), 2u);
+  for (const auto& [key, thread] : drawn_by) {
+    EXPECT_EQ(thread, std::this_thread::get_id()) << key;
+  }
 }
 
 TEST_F(ParallelEstimationTest, CacheSkipsReEstimation) {
