@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 
 #include "common/logging.h"
 
@@ -171,30 +170,17 @@ void EstimationGraph::GenerateDeductionsFor(size_t node_id) {
   }
 }
 
-void EstimationGraph::RefreshCosts(double f, ThreadPool* pool) {
-  // Samples are drawn here, on the calling thread, before the fan-out.
-  // Drawing one is serialized inside the sample source anyway, and doing
-  // it from whichever worker reached an object first would scatter the
-  // samples' memory over the workers' allocator arenas by scheduling luck,
-  // making the process's peak memory vary from run to run.
-  std::set<std::string> drawn;
-  for (const IndexNode& node : nodes_) {
-    if (node.is_existing || Cancelled()) continue;
-    if (drawn.insert(node.def.object).second) {
-      source_->Sample(node.def.object, f);
-    }
-  }
-  // Each probe scans the object's sample once (filter hit counting); the
-  // probes are independent and the shared sample caches are thread-safe,
-  // so they batch across the pool. Writes go to disjoint nodes. Once a
-  // cancel fires, remaining probes are skipped (cost 0) — the plan built
-  // from them is discarded by the cancelled caller anyway.
-  ParallelFor(pool, nodes_.size(), [&](size_t i) {
-    IndexNode& node = nodes_[i];
+void EstimationGraph::RefreshCosts(double f) {
+  // A probe of an unfiltered base-table index is arithmetic on the sample's
+  // row count; only partial indexes and MVs draw (on this thread), so the
+  // probes run serially. Once a cancel fires, remaining probes are skipped
+  // (cost 0) — the plan built from them is discarded by the cancelled caller
+  // anyway.
+  for (IndexNode& node : nodes_) {
     node.cost_pages = node.is_existing || Cancelled()
                           ? 0.0
                           : sampler_.PredictCostPages(node.def, f);
-  });
+  }
 }
 
 ErrorStats EstimationGraph::DeductionError(
@@ -251,8 +237,8 @@ double EstimationGraph::TotalSampledCost() const {
   return cost;
 }
 
-double EstimationGraph::AllSampledCost(double f, ThreadPool* pool) {
-  RefreshCosts(f, pool);
+double EstimationGraph::AllSampledCost(double f) {
+  RefreshCosts(f);
   double cost = 0.0;
   for (const IndexNode& node : nodes_) {
     if (node.is_target && !node.is_existing) cost += node.cost_pages;
@@ -260,9 +246,9 @@ double EstimationGraph::AllSampledCost(double f, ThreadPool* pool) {
   return cost;
 }
 
-double EstimationGraph::SampleAllTargets(double f, ThreadPool* pool) {
+double EstimationGraph::SampleAllTargets(double f) {
   ResetStates();
-  RefreshCosts(f, pool);
+  RefreshCosts(f);
   for (IndexNode& node : nodes_) {
     if (node.is_target && node.state == NodeState::kNone) {
       node.state = NodeState::kSampled;
@@ -297,10 +283,9 @@ void EstimationGraph::PruneUnused() {
   }
 }
 
-double EstimationGraph::Greedy(double f, double e, double q,
-                               ThreadPool* pool) {
+double EstimationGraph::Greedy(double f, double e, double q) {
   ResetStates();
-  RefreshCosts(f, pool);
+  RefreshCosts(f);
 
   // Narrow to wide over targets.
   std::vector<size_t> targets;
@@ -486,10 +471,9 @@ void EstimationGraph::OptimalRecurse(const std::vector<size_t>& order,
   }
 }
 
-double EstimationGraph::Optimal(double f, double e, double q,
-                                ThreadPool* pool) {
+double EstimationGraph::Optimal(double f, double e, double q) {
   ResetStates();
-  RefreshCosts(f, pool);
+  RefreshCosts(f);
   std::vector<size_t> order(nodes_.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   // Widest first so deduction children (narrower) are decided after their
@@ -506,7 +490,7 @@ double EstimationGraph::Optimal(double f, double e, double q,
     nodes_ = std::move(best_assignment);
     // Final verification pass: if the lazily-composed errors violate the
     // constraint, fall back to greedy (which never does worse than All).
-    if (!AssignmentSatisfies(e, q, f)) return Greedy(f, e, q, pool);
+    if (!AssignmentSatisfies(e, q, f)) return Greedy(f, e, q);
   }
   return best_cost;
 }
@@ -555,6 +539,19 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
       groups.push_back({i});
     } else {
       groups[it->second].push_back(i);
+    }
+  }
+  // Samples are drawn here, on the calling thread, before the fan-out.
+  // Drawing one is serialized inside the sample source anyway, and doing
+  // it from whichever worker reached an object first would scatter the
+  // samples' memory over the workers' allocator arenas by scheduling luck,
+  // making the process's peak memory vary from run to run. An existing
+  // node reads the sample only to count a partial index's filter hits.
+  for (const std::vector<size_t>& members : groups) {
+    if (Cancelled()) break;
+    const IndexNode& first = nodes_[members.front()];
+    if (!first.is_existing || first.def.filter.has_value()) {
+      source_->Sample(first.def.object, f);
     }
   }
   std::vector<std::vector<SampleCfResult>> group_results =

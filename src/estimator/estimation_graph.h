@@ -58,20 +58,20 @@ class EstimationGraph {
   void AddTargets(const std::vector<IndexDef>& targets);
 
   // Section 5.2 greedy. Assigns states; returns total sampling cost in
-  // pages. e/q per Section 5.1. With a pool, the per-node PredictCostPages
-  // probes (one sample scan each) are batched across the workers; the
-  // state assignment itself stays serial and is bit-identical either way.
-  double Greedy(double f, double e, double q, ThreadPool* pool = nullptr);
+  // pages. e/q per Section 5.1. Each node is priced by PredictCostPages,
+  // which reads the sample's row count and draws only for partial indexes
+  // and MVs, so trying several fractions draws no unused base-table sample.
+  double Greedy(double f, double e, double q);
 
   // Appendix D exact search (exponential; small graphs only). Returns the
   // optimal total cost and applies the optimal assignment.
-  double Optimal(double f, double e, double q, ThreadPool* pool = nullptr);
+  double Optimal(double f, double e, double q);
 
   // Baseline: SampleCF on every target.
-  double AllSampledCost(double f, ThreadPool* pool = nullptr);
+  double AllSampledCost(double f);
   // Assigns SAMPLED to every target (the "w/o deduction" plan); returns the
   // total cost.
-  double SampleAllTargets(double f, ThreadPool* pool = nullptr);
+  double SampleAllTargets(double f);
 
   // True if, under the current assignment, every target's composed error
   // satisfies P(within e) >= q — or is at least as good as plain sampling
@@ -84,8 +84,9 @@ class EstimationGraph {
   // (targets only). Also exposes per-node error stats.
   //
   // With a pool, the independent SampleCF leaf estimations (the dominant
-  // cost: index builds on samples) run concurrently; deduction formulas
-  // then compose serially in dependency order. Output is bit-identical to
+  // cost: index builds on samples) run concurrently; their samples are
+  // drawn on the calling thread first. Deduction formulas then compose
+  // serially in dependency order. Output is bit-identical to
   // the serial path: every node's computation is self-contained and the
   // shared sample caches seed per key, not per draw order.
   //
@@ -142,7 +143,7 @@ class EstimationGraph {
                             std::vector<ErrorStats> child_terms) const;
   void PruneUnused();
   double TotalSampledCost() const;
-  void RefreshCosts(double f, ThreadPool* pool);
+  void RefreshCosts(double f);
 
   // Recursive helper for Optimal(): decides the next required-but-undecided
   // node in `order`; `required` marks nodes that must become known.

@@ -108,16 +108,19 @@ double SampleCfEstimator::EstimateFullTuples(const IndexDef& def, double f) {
 }
 
 double SampleCfEstimator::PredictCostPages(const IndexDef& def, double f) {
-  const Table& sample = source_->Sample(def.object, f);
-  double sample_tuples = static_cast<double>(sample.num_rows());
-  if (def.filter.has_value() && sample.num_rows() > 0) {
+  double sample_tuples = 0.0;
+  if (!def.filter.has_value()) {
+    sample_tuples = static_cast<double>(source_->SampleRows(def.object, f));
+  } else {
+    const Table& sample = source_->Sample(def.object, f);
     uint64_t hits = 0;
     for (const Row& r : sample.rows()) {
       if (def.filter->Matches(r, sample.schema())) ++hits;
     }
     sample_tuples = static_cast<double>(hits);
   }
-  const Schema stored = StoredSchemaFor(def, sample.schema());
+  const Schema stored =
+      StoredSchemaFor(def, source_->ObjectSchema(def.object));
   const double row_bytes = stored.RowWidth() + kRowOverhead;
   return std::max(1.0, std::ceil(sample_tuples * row_bytes / kPageCapacity));
 }

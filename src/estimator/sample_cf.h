@@ -25,6 +25,12 @@ class SampleSource {
 
   // The sample table for `object` at sampling fraction f.
   virtual const Table& Sample(const std::string& object, double f) = 0;
+  // Row count of Sample(object, f). Sources that know the count without
+  // drawing (uniform samples of base tables) override this; the default
+  // draws the sample.
+  virtual uint64_t SampleRows(const std::string& object, double f) {
+    return Sample(object, f).num_rows();
+  }
   // Estimated number of tuples in the full object (for MVs this is the
   // Adaptive-Estimator prediction, Appendix B.3).
   virtual double FullTuples(const std::string& object) = 0;
@@ -41,6 +47,9 @@ class TableSampleSource : public SampleSource {
 
   const Table& Sample(const std::string& object, double f) override {
     return samples_->GetSample(db_->table(object), f);
+  }
+  uint64_t SampleRows(const std::string& object, double f) override {
+    return samples_->SampleRows(db_->table(object), f);
   }
   double FullTuples(const std::string& object) override {
     return static_cast<double>(db_->table(object).num_rows());
@@ -98,7 +107,10 @@ class SampleCfEstimator {
   double UncompressedFullBytes(const IndexDef& def, double tuples) const;
   double EstimateFullTuples(const IndexDef& def, double f);
 
-  // Cost (in pages) that Estimate() would incur, without running it.
+  // Cost (in pages) that Estimate() would incur, without running it: the
+  // uncompressed pages of the sample's rows. An index without a filter is
+  // priced from SampleSource::SampleRows, which draws nothing for a base
+  // table; a partial index draws the sample to count its filter hits.
   double PredictCostPages(const IndexDef& def, double f);
 
  private:

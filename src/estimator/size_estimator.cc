@@ -69,14 +69,14 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
     double best_f = options_.fractions.back();
     for (double f : options_.fractions) {
       if (cancelled()) return result;  // deadline binds between probes
-      graph.SampleAllTargets(f, options_.pool);
+      graph.SampleAllTargets(f);
       if (graph.AssignmentSatisfies(options_.e, options_.q, f)) {
         best_f = f;
         break;
       }
     }
     if (cancelled()) return result;
-    result.total_cost_pages = graph.SampleAllTargets(best_f, options_.pool);
+    result.total_cost_pages = graph.SampleAllTargets(best_f);
     execute_plan(best_f);
     result.num_deduced = 0;
     return result;
@@ -96,7 +96,7 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
     // the batch anyway. The graph also polls inside its own probe and leaf
     // loops, so a deadline binds mid-fraction, not just between fractions.
     if (cancelled()) return result;
-    const double cost = graph.Greedy(f, options_.e, options_.q, options_.pool);
+    const double cost = graph.Greedy(f, options_.e, options_.q);
     if (!graph.AssignmentSatisfies(options_.e, options_.q, f)) continue;
     if (cost < best_cost) {
       best_cost = cost;
@@ -106,7 +106,7 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
   if (cancelled()) return result;
   // Re-run the winning plan (the graph holds the last run's states).
   result.total_cost_pages =
-      graph.Greedy(best_f, options_.e, options_.q, options_.pool);
+      graph.Greedy(best_f, options_.e, options_.q);
   execute_plan(best_f);
   return result;
 }
@@ -131,7 +131,7 @@ std::vector<SampleCfResult> SizeEstimator::UncompressedSizeAll(
            options_.cancel->load(std::memory_order_relaxed);
   };
   // Partial indexes count filter hits on the sample: draw it on the
-  // calling thread, as EstimationGraph::RefreshCosts does, so its memory
+  // calling thread, as EstimationGraph::Execute does, so its memory
   // does not land in whichever worker got there first.
   for (const IndexDef& def : defs) {
     if (def.filter.has_value() && !cancelled()) {

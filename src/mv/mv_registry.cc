@@ -91,6 +91,11 @@ const Table& MVRegistry::Sample(const std::string& object, double f) {
   return *it->second;
 }
 
+uint64_t MVRegistry::SampleRows(const std::string& object, double f) {
+  if (Find(object) == nullptr) return table_source_.SampleRows(object, f);
+  return Sample(object, f).num_rows();
+}
+
 MVTupleEstimates MVRegistry::EstimateTuples(const MVDef& def, double f) {
   const Table& smv = Sample(def.name, f);
   const Table& synopsis = Synopsis(def.fact_table, f);

@@ -43,6 +43,9 @@ class MVRegistry : public SampleSource, public MVMatcher {
 
   // --- SampleSource ---
   const Table& Sample(const std::string& object, double f) override;
+  // Base tables answer without drawing; MV samples are drawn (their row
+  // count is the number of groups, known only after aggregation).
+  uint64_t SampleRows(const std::string& object, double f) override;
   double FullTuples(const std::string& object) override;
   const Schema& ObjectSchema(const std::string& object) override;
 

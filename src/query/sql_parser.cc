@@ -147,15 +147,24 @@ class Parser {
     return ValueType::kInt64;
   }
 
+  Value DateLiteral(const std::string& text) {
+    const std::optional<int64_t> days = TryParseDateLiteral(text);
+    if (!days.has_value()) {
+      error_ = "invalid date '" + text + "', expected YYYY-MM-DD";
+      return Value();
+    }
+    return Value::Date(*days);
+  }
+
   Value ParseLiteral(ValueType type) {
     if (AcceptKeyword("DATE")) {
       if (cur_.kind != Token::kString) {
         error_ = "expected date string";
         return Value();
       }
-      const int64_t days = ParseDateLiteral(cur_.text);
+      const Value date = DateLiteral(cur_.text);
       Advance();
-      return Value::Date(days);
+      return date;
     }
     if (cur_.kind == Token::kNumber) {
       const std::string text = cur_.text;
@@ -172,7 +181,7 @@ class Parser {
     if (cur_.kind == Token::kString) {
       std::string text = cur_.text;
       Advance();
-      if (type == ValueType::kDate) return Value::Date(ParseDateLiteral(text));
+      if (type == ValueType::kDate) return DateLiteral(text);
       return Value::String(std::move(text));
     }
     error_ = "expected literal near '" + cur_.text + "'";
@@ -321,11 +330,21 @@ std::optional<Statement> ParseSql(const std::string& sql, const Database& db,
   return parser.Parse(error);
 }
 
-int64_t ParseDateLiteral(const std::string& ymd) {
-  CAPD_CHECK_EQ(ymd.size(), 10u) << "date literal must be YYYY-MM-DD: " << ymd;
+std::optional<int64_t> TryParseDateLiteral(const std::string& ymd) {
+  if (ymd.size() != 10 || ymd[4] != '-' || ymd[7] != '-') return std::nullopt;
+  for (size_t i : {0, 1, 2, 3, 5, 6, 8, 9}) {
+    if (!std::isdigit(static_cast<unsigned char>(ymd[i]))) return std::nullopt;
+  }
   const int64_t y = std::strtoll(ymd.substr(0, 4).c_str(), nullptr, 10);
   const int64_t m = std::strtoll(ymd.substr(5, 2).c_str(), nullptr, 10);
   const int64_t d = std::strtoll(ymd.substr(8, 2).c_str(), nullptr, 10);
+  const bool leap = (y % 4 == 0 && y % 100 != 0) || y % 400 == 0;
+  static constexpr int64_t kMonthDays[] = {31, 28, 31, 30, 31, 30,
+                                           31, 31, 30, 31, 30, 31};
+  if (m < 1 || m > 12) return std::nullopt;
+  if (d < 1 || d > kMonthDays[m - 1] + (m == 2 && leap ? 1 : 0)) {
+    return std::nullopt;
+  }
   // Days from civil (Howard Hinnant's algorithm).
   const int64_t yy = y - (m <= 2 ? 1 : 0);
   const int64_t era = (yy >= 0 ? yy : yy - 399) / 400;
@@ -333,6 +352,12 @@ int64_t ParseDateLiteral(const std::string& ymd) {
   const int64_t doy = (153 * (m + (m > 2 ? -3 : 9)) + 2) / 5 + d - 1;
   const int64_t doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
   return era * 146097 + doe - 719468;
+}
+
+int64_t ParseDateLiteral(const std::string& ymd) {
+  const std::optional<int64_t> days = TryParseDateLiteral(ymd);
+  CAPD_CHECK(days.has_value()) << "date literal must be YYYY-MM-DD: " << ymd;
+  return *days;
 }
 
 std::string FormatDate(int64_t days) {

@@ -11,6 +11,7 @@
 #ifndef CAPD_QUERY_SQL_PARSER_H_
 #define CAPD_QUERY_SQL_PARSER_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -25,6 +26,10 @@ std::optional<Statement> ParseSql(const std::string& sql, const Database& db,
                                   std::string* error);
 
 // Converts 'YYYY-MM-DD' to days since 1970-01-01 (proleptic Gregorian).
+// Returns std::nullopt unless `ymd` is exactly four year digits, '-', two
+// month digits, '-' and two day digits naming a real calendar date.
+std::optional<int64_t> TryParseDateLiteral(const std::string& ymd);
+// TryParseDateLiteral for literals known to be valid; CHECK-fails otherwise.
 int64_t ParseDateLiteral(const std::string& ymd);
 std::string FormatDate(int64_t days);
 

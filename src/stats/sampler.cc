@@ -8,14 +8,16 @@
 
 namespace capd {
 
-std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
-                                           uint64_t min_rows, Random* rng) {
+uint64_t UniformSampleRows(uint64_t n, double f, uint64_t min_rows) {
   CAPD_CHECK_GT(f, 0.0);
   CAPD_CHECK_LE(f, 1.0);
+  return std::clamp(RoundedFraction(n, f), std::min(min_rows, n), n);
+}
+
+std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
+                                           uint64_t min_rows, Random* rng) {
   const uint64_t n = table.num_rows();
-  // Sample size: round(n * f), floored at min_rows, never more than n.
-  const uint64_t k =
-      std::clamp(RoundedFraction(n, f), std::min(min_rows, n), n);
+  const uint64_t k = UniformSampleRows(n, f, min_rows);
   auto sample = std::make_unique<Table>(table.name() + "_sample", table.schema());
   sample->Reserve(k);
   // Streaming extraction: the k indices are drawn up front in sorted order
@@ -63,7 +65,7 @@ const Table& SampleManager::GetSampleLocked(const Table& table, double f) {
     Random rng = RngFor(key.str());
     it = samples_
              .emplace(key.str(),
-                      CreateUniformSample(table, f, /*min_rows=*/50, &rng))
+                      CreateUniformSample(table, f, kMinSampleRows, &rng))
              .first;
   }
   return *it->second;
@@ -72,6 +74,10 @@ const Table& SampleManager::GetSampleLocked(const Table& table, double f) {
 const Table& SampleManager::GetSample(const Table& table, double f) {
   std::lock_guard<std::mutex> lock(mu_);
   return GetSampleLocked(table, f);
+}
+
+uint64_t SampleManager::SampleRows(const Table& table, double f) const {
+  return UniformSampleRows(table.num_rows(), f, kMinSampleRows);
 }
 
 const Table& SampleManager::GetFilteredSample(const Table& table, double f,

@@ -17,9 +17,15 @@
 
 namespace capd {
 
-// Draws a uniform row sample of fraction f (at least min_rows if the table
-// has them). The sample is itself a Table, so every consumer (index builder,
-// stats) works on it unchanged.
+// Row count of a uniform sample of fraction f from n rows: round(n * f),
+// floored at min_rows, never more than n. CreateUniformSample draws exactly
+// this many rows, so a caller that needs only the count (a cost probe) can
+// price a sample without drawing it.
+uint64_t UniformSampleRows(uint64_t n, double f, uint64_t min_rows);
+
+// Draws a uniform row sample of fraction f (UniformSampleRows rows). The
+// sample is itself a Table, so every consumer (index builder, stats) works
+// on it unchanged.
 std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
                                            uint64_t min_rows, Random* rng);
 
@@ -46,6 +52,10 @@ class SampleManager {
   // first use.
   const Table& GetSample(const Table& table, double f);
 
+  // Row count of GetSample(table, f), computed without drawing it: scans
+  // nothing and leaves rows_scanned() and num_samples() unchanged.
+  uint64_t SampleRows(const Table& table, double f) const;
+
   // Filtered sample for a partial index (cached by filter signature).
   const Table& GetFilteredSample(const Table& table, double f,
                                  const ColumnFilter& filter);
@@ -58,6 +68,9 @@ class SampleManager {
   // Both require mu_ held.
   const Table& GetSampleLocked(const Table& table, double f);
   Random RngFor(const std::string& key) const;
+
+  // Smallest sample drawn from a table that has at least this many rows.
+  static constexpr uint64_t kMinSampleRows = 50;
 
   const uint64_t seed_;
   mutable std::mutex mu_;

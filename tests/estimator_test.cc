@@ -1,11 +1,16 @@
 // Tests for the size-estimation framework: SampleCF, deductions, error
 // model, and the Section 5.2 graph search.
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "estimator/size_estimator.h"
 #include "index/index_builder.h"
+#include "workloads/scale.h"
 #include "workloads/tpch.h"
 
 namespace capd {
@@ -264,6 +269,98 @@ TEST_F(EstimatorTest, UncompressedSizeDeterministic) {
   EXPECT_DOUBLE_EQ(a.est_bytes, b.est_bytes);
   const double truth = TrueBytes(def);
   EXPECT_LT(std::abs(a.est_bytes - truth) / truth, 0.05);
+}
+
+// The cost probe prices a sample by its row count without drawing it, so
+// that count must equal the drawn sample's exactly: at the min_rows floor
+// (n < 50), at and around it, on a generated table with a partial last
+// block, at every default fraction and at f = 1.0.
+TEST(SampleRowsTest, CountMatchesDrawnSample) {
+  Database db;
+  scale::Options opt;
+  opt.fact_rows = 100017;
+  scale::Build(&db, opt);
+  std::vector<std::string> objects = {"events"};
+  for (int n : {1, 49, 50, 51}) {
+    const std::string name = "t" + std::to_string(n);
+    auto t = std::make_unique<Table>(name, Schema({{"a", ValueType::kInt64, 8}}));
+    for (int i = 0; i < n; ++i) t->AddRow({Value::Int64(i)});
+    db.AddTable(std::move(t));
+    objects.push_back(name);
+  }
+  std::vector<double> fractions = SizeEstimationOptions().fractions;
+  fractions.push_back(1.0);
+  for (const std::string& object : objects) {
+    const Table& table = db.table(object);
+    for (double f : fractions) {
+      SampleManager samples(99);
+      TableSampleSource source(db, &samples);
+      const uint64_t counted = source.SampleRows(object, f);
+      EXPECT_EQ(samples.SampleRows(table, f), counted);
+      EXPECT_EQ(samples.num_samples(), 0u);
+      EXPECT_EQ(samples.rows_scanned(), 0u);
+      EXPECT_EQ(samples.GetSample(table, f).num_rows(), counted)
+          << object << " f=" << f;
+    }
+  }
+}
+
+TEST_F(EstimatorTest, UnfilteredCostProbeDrawsNothing) {
+  SampleCfEstimator estimator(db_, source_.get());
+  const Table& lineitem = db_.table("lineitem");
+  std::vector<IndexDef> defs = {
+      Idx({"l_shipdate"}),
+      Idx({"l_partkey", "l_suppkey"}, CompressionKind::kPage, {"l_quantity"})};
+  defs.push_back(Idx({"l_orderkey"}));
+  defs.back().clustered = true;
+  for (double f : SizeEstimationOptions().fractions) {
+    for (const IndexDef& def : defs) {
+      const double cost = estimator.PredictCostPages(def, f);
+      EXPECT_EQ(samples_->num_samples(), 0u);
+      EXPECT_EQ(samples_->rows_scanned(), 0u);
+      // The value a probe computed when it drew the sample.
+      SampleManager drawn(1234);
+      const Table& sample = drawn.GetSample(lineitem, f);
+      const double row_bytes =
+          StoredSchemaFor(def, sample.schema()).RowWidth() + kRowOverhead;
+      EXPECT_EQ(cost, std::max(1.0, std::ceil(sample.num_rows() * row_bytes /
+                                              kPageCapacity)))
+          << def.ToString() << " f=" << f;
+    }
+  }
+}
+
+TEST_F(EstimatorTest, FilteredCostProbeDraws) {
+  SampleCfEstimator estimator(db_, source_.get());
+  IndexDef partial = Idx({"l_shipdate"});
+  partial.filter =
+      ColumnFilter{"l_quantity", FilterOp::kLt, Value::Int64(10), {}};
+  estimator.PredictCostPages(partial, 0.05);
+  EXPECT_EQ(samples_->num_samples(), 1u);
+  EXPECT_EQ(samples_->rows_scanned(), db_.table("lineitem").num_rows());
+}
+
+TEST_F(EstimatorTest, EstimateAllDrawsOneSampleAtTheChosenFraction) {
+  const std::vector<IndexDef> targets = {
+      Idx({"l_shipdate"}), Idx({"l_shipdate", "l_shipmode"}),
+      Idx({"l_partkey"}, CompressionKind::kPage),
+      Idx({"l_quantity", "l_discount"}, CompressionKind::kPage)};
+  const uint64_t n = db_.table("lineitem").num_rows();
+  for (bool use_deduction : {true, false}) {
+    SampleManager samples(1234);
+    TableSampleSource source(db_, &samples);
+    SizeEstimationOptions options;
+    options.use_deduction = use_deduction;
+    SizeEstimator estimator(db_, &source, ErrorModel(), options);
+    const SizeEstimator::BatchResult batch = estimator.EstimateAll(targets);
+    ASSERT_EQ(batch.estimates.size(), targets.size());
+    EXPECT_EQ(samples.num_samples(), 1u) << use_deduction;
+    EXPECT_EQ(samples.rows_scanned(), n) << use_deduction;
+    // The one sample drawn is the chosen fraction's: asking for it again
+    // scans nothing.
+    samples.GetSample(db_.table("lineitem"), batch.chosen_f);
+    EXPECT_EQ(samples.rows_scanned(), n) << use_deduction;
+  }
 }
 
 }  // namespace

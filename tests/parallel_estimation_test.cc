@@ -1,11 +1,13 @@
 // Tests for the parallel batch-estimation engine and the cross-round
 // estimation cache: parallel EstimateAll must be byte-identical to serial,
 // and cached rounds must skip re-estimation entirely.
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -115,19 +117,32 @@ TEST_F(ParallelEstimationTest, RepeatedRunsAreDeterministic) {
 }
 
 // Records which thread first asked for each (object, fraction) sample,
-// i.e. which thread drew it.
+// i.e. which thread drew it. A first draw on the constructing thread is
+// slowed down, so that if it happened inside a fan-out, pool workers would
+// reach the other tables' leaves and draw their samples meanwhile.
 class DrawThreadRecorder : public SampleSource {
  public:
   DrawThreadRecorder(const Database& db, SampleManager* samples)
-      : inner_(db, samples) {}
+      : inner_(db, samples), caller_(std::this_thread::get_id()) {}
 
   const Table& Sample(const std::string& object, double f) override {
+    bool first = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      drawn_by_.emplace(object + "|" + std::to_string(f),
-                        std::this_thread::get_id());
+      first = drawn_by_
+                  .emplace(object + "|" + std::to_string(f),
+                           std::this_thread::get_id())
+                  .second;
+    }
+    if (first && std::this_thread::get_id() == caller_) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     return inner_.Sample(object, f);
+  }
+  // Counting rows draws nothing, so it is not recorded: only real draws
+  // (in Execute and for partial indexes) are checked.
+  uint64_t SampleRows(const std::string& object, double f) override {
+    return inner_.SampleRows(object, f);
   }
   double FullTuples(const std::string& object) override {
     return inner_.FullTuples(object);
@@ -143,6 +158,7 @@ class DrawThreadRecorder : public SampleSource {
 
  private:
   TableSampleSource inner_;
+  const std::thread::id caller_;
   mutable std::mutex mu_;
   std::map<std::string, std::thread::id> drawn_by_;
 };
@@ -162,10 +178,22 @@ TEST_F(ParallelEstimationTest, SamplesAreDrawnOnTheCallingThread) {
   partial.filter =
       ColumnFilter{"l_quantity", FilterOp::kLt, Value::Int64(10), {}};
   estimator.UncompressedSizeAll({partial, partial, partial, partial});
-  estimator.EstimateAll(Targets());
+  // Leaves on three tables, the first two on tables of their own: without
+  // the pre-draw in Execute, the workers that pick up those leaves while
+  // the caller draws for the first one would draw their samples.
+  IndexDef orders = Idx({"o_orderdate"});
+  orders.object = "orders";
+  IndexDef part = Idx({"p_brand"});
+  part.object = "part";
+  std::vector<IndexDef> targets = {orders, part};
+  for (const IndexDef& def : Targets()) targets.push_back(def);
+  const SizeEstimator::BatchResult r = estimator.EstimateAll(targets);
 
   const std::map<std::string, std::thread::id> drawn_by = source.drawn_by();
-  EXPECT_GE(drawn_by.size(), 2u);
+  const std::string at_chosen_f = "|" + std::to_string(r.chosen_f);
+  for (const char* object : {"lineitem", "orders", "part"}) {
+    EXPECT_EQ(drawn_by.count(object + at_chosen_f), 1u) << object;
+  }
   for (const auto& [key, thread] : drawn_by) {
     EXPECT_EQ(thread, std::this_thread::get_id()) << key;
   }

@@ -88,6 +88,46 @@ TEST_F(QueryTest, ParseErrorsReported) {
           .has_value());
 }
 
+// A malformed date is an error status from ParseSql, never an abort and
+// never a silently invented date.
+void ExpectInvalidDate(const std::string& sql, const Database& db) {
+  std::string err;
+  EXPECT_FALSE(ParseSql(sql, db, &err).has_value()) << sql;
+  EXPECT_NE(err.find("invalid date"), std::string::npos) << sql << ": " << err;
+}
+
+TEST_F(QueryTest, ShortDateKeywordLiteralIsAnError) {
+  ExpectInvalidDate(
+      "SELECT COUNT(*) FROM lineitem WHERE l_shipdate >= DATE '95-1-1'", db_);
+}
+
+TEST_F(QueryTest, ShortDateStringOnDateColumnIsAnError) {
+  ExpectInvalidDate(
+      "SELECT COUNT(*) FROM lineitem WHERE l_shipdate >= '95-1-1'", db_);
+}
+
+TEST_F(QueryTest, OutOfRangeDateIsAnError) {
+  ExpectInvalidDate(
+      "SELECT COUNT(*) FROM lineitem WHERE l_shipdate < DATE '1995/13/45'",
+      db_);
+}
+
+TEST_F(QueryTest, NonNumericDateIsAnError) {
+  ExpectInvalidDate(
+      "SELECT COUNT(*) FROM lineitem WHERE l_shipdate = DATE 'abcdefghij'",
+      db_);
+}
+
+TEST_F(QueryTest, TryParseDateLiteralChecksTheCalendar) {
+  EXPECT_EQ(TryParseDateLiteral("1970-01-02"), 1);
+  EXPECT_TRUE(TryParseDateLiteral("2000-02-29").has_value());  // leap year
+  for (const char* bad : {"", "95-1-1", "1995/01/01", "1995-13-01", "1995-00-10",
+                          "1995-01-00", "1995-04-31", "1900-02-29", "1995-1-011",
+                          "+995-01-01", "1995-01-1x", "abcdefghij"}) {
+    EXPECT_FALSE(TryParseDateLiteral(bad).has_value()) << bad;
+  }
+}
+
 TEST_F(QueryTest, DateLiteralRoundTrip) {
   for (const char* d : {"1970-01-01", "1994-01-01", "1998-09-02", "2000-02-29"}) {
     EXPECT_EQ(FormatDate(ParseDateLiteral(d)), d);

@@ -389,7 +389,7 @@ TEST_F(SortOrderDeductionTest, SerialAndPooledExecuteIdentical) {
     EstimationGraph graph(db_, &source, ErrorModel());
     graph.set_enable_sort_order(true);
     graph.AddTargets(SortOrderTargets(CompressionKind::kBitmap));
-    graph.Greedy(kF, 0.25, 0.9, pool);
+    graph.Greedy(kF, 0.25, 0.9);
     return graph.Execute(kF, pool);
   };
   const auto serial = run(nullptr);
