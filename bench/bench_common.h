@@ -96,8 +96,8 @@ inline std::string FracLabel(double v) {
 // Everything a tuning experiment needs: the dataset plus an AdvisorEngine
 // owning the collaborator stack (samples, MVs, optimizer). Variant knobs
 // reach the engine through TuneWithOptions, which honors the caller's
-// AdvisorOptions verbatim, pools included — the ablation escape hatch the
-// request/strategy API deliberately does not expose.
+// AdvisorOptions verbatim, the estimation pool included — the ablation
+// escape hatch the request/strategy API deliberately does not expose.
 struct Stack {
   std::unique_ptr<Database> db;
   std::unique_ptr<AdvisorEngine> engine;
@@ -226,8 +226,7 @@ inline void PrintHeader(const std::string& title) {
 // base data size) and prints an improvement-% table — the shared shape of
 // Figures 12-17. Each (variant, budget) cell records its improvement (a
 // deterministic value), the what-if / statement-costing counters, and its
-// tuning wall time into ctx's report; ctx.flags.threads sets the worker
-// pool for every variant.
+// tuning wall time into ctx's report.
 struct Variant {
   std::string name;
   AdvisorOptions options;
@@ -239,16 +238,13 @@ inline void RunImprovementTable(BenchContext* ctx, Stack* s, const Workload& w,
   std::printf("%-12s", "Budget");
   for (const Variant& v : variants) std::printf(" %12s", v.name.c_str());
   std::printf("\n");
-  ThreadPool pool(ctx->flags.threads);
   for (double frac : budget_fracs) {
     const double kb =
         frac * static_cast<double>(s->db->BaseDataBytes()) / 1024.0;
     std::printf("%3.0f%% (%4.0fKB)", frac * 100, kb);
     for (const Variant& v : variants) {
-      AdvisorOptions options = v.options;
-      options.pool = &pool;
       const auto t0 = std::chrono::steady_clock::now();
-      const AdvisorResult r = s->Tune(options, frac, w);
+      const AdvisorResult r = s->Tune(v.options, frac, w);
       const double ms = Millis(t0, std::chrono::steady_clock::now());
       std::printf(" %11.1f%%", r.improvement_percent());
       const std::string key =

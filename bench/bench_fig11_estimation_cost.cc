@@ -24,7 +24,6 @@ RunStats RunOnce(bool use_deduction, const BenchContext& ctx) {
   options.enable_partial = true;
   options.enable_mv = true;
   ThreadPool pool(ctx.flags.threads);
-  options.pool = &pool;
   options.size_options.pool = &pool;
   options.size_options.use_deduction = use_deduction;
   // Tighter accuracy than the defaults so the choice of method matters

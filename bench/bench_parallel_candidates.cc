@@ -1,14 +1,9 @@
-// Scaling benchmark for the parallel candidate-selection phase (and the
-// staged baseline's stage 2): full DTAc tuning runs over the TPC-H
-// workload with a per-phase wall-time breakdown — size estimation /
-// per-query candidate selection / enumeration — plus the
-// stmt_costs_{computed,cached} counters showing the selection-phase
-// costings warming (and hitting) the shared StatementCostCache. Every run
-// is checked bit-identical to the serial baseline. (The counters are
-// accounting, not part of that contract: on multicore, concurrent misses
-// on one cache key may each run the optimizer, shifting computed/cached
-// slightly between thread counts while the recommendation stays
-// identical.)
+// Benchmark for the candidate-selection phase: full DTAc tuning runs over
+// the TPC-H workload, cost cache off and on, with a per-phase wall-time
+// breakdown — size estimation / per-query candidate selection /
+// enumeration — plus the stmt_costs_{computed,cached} counters showing the
+// selection-phase costings warming (and hitting) the StatementCostCache.
+// The cached run is checked bit-identical to the uncached one.
 #include <cstring>
 
 #include "bench/bench_common.h"
@@ -68,8 +63,7 @@ void Run(BenchContext& ctx) {
   s.Tune(base, budget, w);  // warm samples + estimation cache
 
   PrintHeader(
-      "Per-phase breakdown (threads=1): selection costings hit the shared "
-      "cost cache");
+      "Per-phase breakdown: selection costings warm the cost cache");
   PrintPhaseHeader();
   AdvisorResult serial;
   for (bool use_cache : {false, true}) {
@@ -81,43 +75,6 @@ void Run(BenchContext& ctx) {
     PrintRow(use_cache ? "cache-on" : "cache-off", r, identical);
     RecordRow(&ctx, std::string("[cache=") + (use_cache ? "on" : "off") + "]",
               r, identical);
-  }
-
-  PrintHeader("Candidate selection + enumeration thread scaling (cache on)");
-  PrintPhaseHeader();
-  for (int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    AdvisorOptions options = base;
-    options.cost_cache = true;
-    options.pool = &pool;
-    const AdvisorResult r = s.Tune(options, budget, w);
-    char label[16];
-    std::snprintf(label, sizeof(label), "t=%d", threads);
-    const bool identical = SameRecommendation(serial, r);
-    PrintRow(label, r, identical);
-    RecordRow(&ctx, "[threads=" + std::to_string(threads) + "]", r, identical);
-  }
-
-  PrintHeader("Staged baseline (stage 1 + stage 2 on the pool)");
-  PrintPhaseHeader();
-  AdvisorResult staged_serial;
-  for (int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    AdvisorOptions options = base;
-    options.pool = &pool;
-    SizeEstimator estimator(*s.db, s.mvs(), ErrorModel(),
-                            options.size_options);
-    Advisor advisor(*s.db, s.optimizer(), &estimator, s.mvs(), options);
-    const AdvisorResult r = advisor.TuneStagedBaseline(
-        w, budget * static_cast<double>(s.db->BaseDataBytes()),
-        CompressionKind::kPage);
-    if (threads == 1) staged_serial = r;
-    char label[16];
-    std::snprintf(label, sizeof(label), "staged t=%d", threads);
-    const bool identical = SameRecommendation(staged_serial, r);
-    PrintRow(label, r, identical);
-    RecordRow(&ctx, "[staged,threads=" + std::to_string(threads) + "]", r,
-              identical);
   }
 }
 

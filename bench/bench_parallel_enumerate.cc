@@ -1,11 +1,10 @@
-// Scaling benchmark for the parallel + incremental advisor search loop:
-// the full tuning run (DTAc with skyline + backtracking) over the TPC-H
-// workload, measuring (a) how many full-workload statement costings the
-// per-statement cost cache saves per greedy step, and (b) enumeration
-// wall-time at 1/2/4/8 worker threads — verifying the recommendation is
-// bit-identical in every configuration. A shared estimation cache prices
-// the candidate pool once up front so the timed runs measure the search
-// loop, not size estimation.
+// Benchmark for the incremental advisor search loop: the full tuning run
+// (DTAc with skyline + backtracking) over the TPC-H workload, measuring how
+// many full-workload statement costings the per-statement cost cache saves
+// and the wall time with the cache off and on — verifying the
+// recommendation is bit-identical either way. A shared estimation cache
+// prices the candidate pool once up front so the timed runs measure the
+// search loop, not size estimation.
 #include <cstring>
 
 #include "bench/bench_common.h"
@@ -39,7 +38,7 @@ void Run(BenchContext& ctx) {
   base.size_options.cache = std::make_shared<EstimationCache>();
   s.Tune(base, budget, w);  // warm samples + estimation cache
 
-  PrintHeader("Statement-cost cache: workload costings saved (threads=1)");
+  PrintHeader("Statement-cost cache: workload costings saved");
   std::printf("%-10s %12s %12s %12s %10s %10s\n", "cache", "what-if",
               "computed", "cached", "saved", "time");
   AdvisorResult uncached, cached;
@@ -68,27 +67,6 @@ void Run(BenchContext& ctx) {
   const bool cache_identical = SameRecommendation(uncached, cached);
   std::printf("identical recommendation: %s\n", cache_identical ? "yes" : "NO");
   ctx.report.AddCounter("identical[cache=on]", cache_identical ? 1 : 0);
-
-  PrintHeader("Enumeration thread scaling (cost cache on)");
-  std::printf("%-8s %12s %10s %10s\n", "threads", "time", "speedup",
-              "identical");
-  double serial_ms = 0.0;
-  for (int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    AdvisorOptions options = base;
-    options.cost_cache = true;
-    options.pool = &pool;
-    const auto t0 = std::chrono::steady_clock::now();
-    const AdvisorResult r = s.Tune(options, budget, w);
-    const double ms = Millis(t0, std::chrono::steady_clock::now());
-    if (threads == 1) serial_ms = ms;
-    const bool identical = SameRecommendation(uncached, r);
-    std::printf("%-8d %9.1f ms %9.2fx %10s\n", threads, ms,
-                serial_ms / std::max(ms, 1e-9), identical ? "yes" : "NO");
-    const std::string key = "[threads=" + std::to_string(threads) + "]";
-    ctx.report.AddTimeMs("tune_ms" + key, ms);
-    ctx.report.AddCounter("identical" + key, identical ? 1 : 0);
-  }
 }
 
 }  // namespace

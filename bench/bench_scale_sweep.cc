@@ -57,7 +57,6 @@ void RunScalePoint(BenchContext& ctx, uint64_t rows) {
 
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
   ThreadPool pool(ctx.flags.threads);
-  options.pool = &pool;
   options.size_options.pool = &pool;
   // Constant absolute sample size across the sweep. Without this the
   // default fraction list would make the sample (and the estimation work)

@@ -31,7 +31,8 @@ using namespace capd;
 
 namespace {
 
-// --threads ceiling: each engine pool starts this many workers at most.
+// --threads ceiling: the engine's estimation pool starts this many workers
+// at most.
 constexpr uint64_t kMaxThreads = 256;
 
 void Usage() {
@@ -45,8 +46,8 @@ void Usage() {
       "\n"
       "  --budget accepts a percentage of the base data size (\"15%%\") or\n"
       "  an absolute byte count (\"1048576\"); --budget-frac takes the\n"
-      "  fraction as a float. --threads drives both the search and the\n"
-      "  estimation pools (0 = hardware concurrency, at most 256).\n"
+      "  fraction as a float. --threads sizes the estimation pool (0 =\n"
+      "  hardware concurrency, at most 256); the search runs serially.\n"
       "  --mv/--partial add MV and partial-index candidates on top of the\n"
       "  chosen strategy.\n"
       "  --timeout-ms/--priority run through the TuningService: a deadline\n"
@@ -224,7 +225,6 @@ int main(int argc, char** argv) {
   }
 
   EngineOptions engine_options;
-  engine_options.search_threads = threads;
   engine_options.estimation_threads = threads;
   AdvisorEngine engine(*built.db, engine_options);
 

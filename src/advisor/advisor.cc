@@ -49,30 +49,6 @@ double Advisor::WorkloadCost(const Workload& workload,
   return optimizer_->WorkloadCost(workload, config);
 }
 
-double Advisor::PooledWorkloadCost(const Workload& workload,
-                                   const Configuration& config,
-                                   AdvisorResult* result) const {
-  if (result != nullptr) {
-    result->what_if_calls += workload.statements.size();
-    result->stmt_costs_computed += workload.statements.size();
-  }
-  const std::vector<double> costs = ParallelMap<double>(
-      options_.pool, workload.statements.size(), [&](size_t i) {
-        // Remaining costings are skipped once a cancel fires; the partial
-        // sum is meaningless, so callers must re-check CancelRequested()
-        // before consuming the total.
-        if (CancelRequested()) return 0.0;
-        return optimizer_->Cost(workload.statements[i], config);
-      });
-  // Same weighted terms summed in the same statement order as
-  // WhatIfOptimizer::WorkloadCost — bit-identical at any thread count.
-  double total = 0.0;
-  for (size_t i = 0; i < workload.statements.size(); ++i) {
-    total += workload.statements[i].weight * costs[i];
-  }
-  return total;
-}
-
 bool Advisor::CanAdd(const Configuration& config, const IndexDef& def) const {
   if (config.Contains(def.Signature())) return false;
   // At most one clustered index per object.
@@ -138,67 +114,44 @@ std::vector<IndexDef> Advisor::SelectCandidates(
   std::vector<IndexDef> selected;
   std::set<std::string> kept;
 
-  // Every costing the loop below needs is independent: per SELECT query,
-  // its base (empty-configuration) cost plus one single-index cost per
-  // candidate. Fan them all across the pool — concurrent misses warm the
-  // shared StatementCostCache for the first enumeration step — then reduce
-  // serially in (query, candidate) order so the selected pool matches the
-  // serial loop to the bit at any thread count.
-  std::vector<size_t> selects;
-  selects.reserve(workload.statements.size());
-  for (size_t si = 0; si < workload.statements.size(); ++si) {
-    if (workload.statements[si].type == StatementType::kSelect) {
-      selects.push_back(si);
-    }
-  }
-  const size_t stride = 1 + candidates.size();  // base cost + one per index
-
   auto stmt_cost = [&](size_t stmt_index, const Configuration& config) {
+    // Skipped costings yield 0.0, which makes every candidate look
+    // irrelevant (cost >= base_cost) — harmless, because Tune discards the
+    // selection as soon as it sees the cancel flag. The cost cache is never
+    // fed skipped values.
+    if (CancelRequested()) return 0.0;
     return cost_cache != nullptr
                ? cost_cache->Cost(stmt_index, config)
                : optimizer_->Cost(workload.statements[stmt_index], config);
   };
-  const std::vector<double> costs = ParallelMap<double>(
-      options_.pool, selects.size() * stride, [&](size_t j) {
-        // Skipped costings yield 0.0, which makes every candidate look
-        // irrelevant (cost >= base_cost) — harmless, because Tune discards
-        // the selection as soon as it sees the cancel flag. The cost cache
-        // is never fed skipped values.
-        if (CancelRequested()) return 0.0;
-        const size_t si = selects[j / stride];
-        const size_t c = j % stride;
-        if (c == 0) return stmt_cost(si, Configuration());
-        const auto it = sizes.find(candidates[c - 1].Signature());
-        CAPD_CHECK(it != sizes.end());
-        Configuration config;
-        config.Add(it->second);
-        return stmt_cost(si, config);
-      });
-  if (result != nullptr) {
-    result->what_if_calls += selects.size() * candidates.size();
-    if (cost_cache == nullptr) {
-      result->stmt_costs_computed += selects.size() * stride;
-    }
-  }
 
-  for (size_t q = 0; q < selects.size(); ++q) {
-    // Serial reduction over this query's precomputed costs.
+  for (size_t si = 0; si < workload.statements.size(); ++si) {
+    if (workload.statements[si].type != StatementType::kSelect) continue;
+    // The base (empty-configuration) cost plus one single-index cost per
+    // candidate.
+    if (result != nullptr) {
+      result->what_if_calls += candidates.size();
+      if (cost_cache == nullptr) {
+        result->stmt_costs_computed += 1 + candidates.size();
+      }
+    }
     struct Entry {
       const IndexDef* def;
       double cost;
       double bytes;
     };
     std::vector<Entry> entries;
-    const double base_cost = costs[q * stride];
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      const IndexDef& def = candidates[c];
-      const double cost = costs[q * stride + 1 + c];
+    const double base_cost = stmt_cost(si, Configuration());
+    for (const IndexDef& def : candidates) {
+      const auto it = sizes.find(def.Signature());
+      CAPD_CHECK(it != sizes.end());
+      Configuration config;
+      config.Add(it->second);
+      const double cost = stmt_cost(si, config);
       if (cost >= base_cost) continue;  // irrelevant to this query
       // Size dimension of the skyline is the *budget charge*: a clustered
       // index replaces the heap, so its effective footprint can be tiny (or
       // negative when compressed) even though the structure is large.
-      Configuration config;
-      config.Add(sizes.at(def.Signature()));
       entries.push_back(Entry{&def, cost, ChargedBytes(config)});
     }
 
@@ -248,19 +201,20 @@ Configuration Advisor::Enumerate(
     return it->second;
   };
 
-  // Trial costing, callable from pool workers (the cache and the optimizer
-  // are both thread-safe). what_if accounting happens serially afterwards
-  // so AdvisorResult is never touched concurrently.
+  // Trial costing. Every trial is charged, but once a cancel fires its
+  // costing is skipped and reads +inf ("no benefit"), so a skipped trial or
+  // swap can never be picked; the next step then observes the flag and
+  // stops with the coherent best-so-far configuration.
   auto trial_cost = [&](const Configuration& trial) {
+    if (result != nullptr) {
+      result->what_if_calls += workload.statements.size();
+      if (cost_cache == nullptr) {
+        result->stmt_costs_computed += workload.statements.size();
+      }
+    }
+    if (CancelRequested()) return std::numeric_limits<double>::infinity();
     return cost_cache != nullptr ? cost_cache->WorkloadCost(trial)
                                  : optimizer_->WorkloadCost(workload, trial);
-  };
-  auto charge_calls = [&](size_t trials) {
-    if (result == nullptr) return;
-    result->what_if_calls += trials * workload.statements.size();
-    if (cost_cache == nullptr) {
-      result->stmt_costs_computed += trials * workload.statements.size();
-    }
   };
 
   while (true) {
@@ -270,43 +224,22 @@ Configuration Advisor::Enumerate(
       if (result != nullptr) result->cancelled = true;
       break;
     }
-    // Evaluate every addable candidate. The trials are independent, so
-    // they fan out across the pool; the reduction below walks them in pool
-    // order with the same comparisons as the serial loop, which makes the
-    // parallel result bit-identical at any thread count.
-    std::vector<size_t> addable;
-    addable.reserve(pool.size());
-    for (size_t i = 0; i < pool.size(); ++i) {
-      if (CanAdd(config, pool[i])) addable.push_back(i);
-    }
-    const std::vector<double> trial_costs =
-        ParallelMap<double>(options_.pool, addable.size(), [&](size_t k) {
-          // Infinity reads as "no benefit", so skipped trials can never be
-          // picked; the next loop iteration then observes the flag and
-          // breaks with the coherent best-so-far configuration.
-          if (CancelRequested()) {
-            return std::numeric_limits<double>::infinity();
-          }
-          Configuration trial = config;
-          trial.Add(size_of(pool[addable[k]]));
-          return trial_cost(trial);
-        });
-    charge_calls(addable.size());
-
+    // Evaluate every addable candidate in pool order; strict comparisons
+    // keep the first of equally good candidates.
     int best_fit = -1;       // best candidate that fits the budget
     double best_fit_score = 0.0;
     double best_fit_cost = current_cost;
     int best_any = -1;       // best candidate ignoring the budget
     double best_any_benefit = 0.0;
 
-    for (size_t k = 0; k < addable.size(); ++k) {
-      const size_t i = addable[k];
+    for (size_t i = 0; i < pool.size(); ++i) {
       const IndexDef& def = pool[i];
-      const double cost = trial_costs[k];
-      const double benefit = current_cost - cost;
-      if (benefit <= 1e-9) continue;
+      if (!CanAdd(config, def)) continue;
       Configuration trial = config;
       trial.Add(size_of(def));
+      const double cost = trial_cost(trial);
+      const double benefit = current_cost - cost;
+      if (benefit <= 1e-9) continue;
       const bool fits = ChargedBytes(trial) <= budget_bytes;
       const double score =
           options_.enumeration == EnumerationMode::kDensityGreedy
@@ -342,11 +275,11 @@ Configuration Advisor::Enumerate(
         double best_recovered_cost = std::numeric_limits<double>::infinity();
         Configuration work = oversized;
         for (int round = 0; round < 8; ++round) {
-          // Viable swaps are gathered serially (cheap size/signature
-          // checks), the in-budget ones are what-if costed across the
-          // pool, and the winner is reduced in (member, replacement) scan
-          // order — the exact tie-breaking of the serial loop.
-          std::vector<Configuration> fit_swaps;
+          // In-budget swaps are what-if costed in (member, replacement)
+          // scan order and the first cheapest wins; otherwise remember the
+          // swap freeing the most space.
+          Configuration fit_swap;
+          double fit_swap_cost = std::numeric_limits<double>::infinity();
           int reduce_member = -1, reduce_repl = -1;
           double reduce_amount = 0.0;
           const auto& members = work.indexes();
@@ -363,7 +296,11 @@ Configuration Advisor::Enumerate(
               CAPD_CHECK(trial.Remove(member.def.Signature()));
               trial.Add(repl_est);
               if (ChargedBytes(trial) <= budget_bytes) {
-                fit_swaps.push_back(std::move(trial));
+                const double cost = trial_cost(trial);
+                if (cost < fit_swap_cost) {
+                  fit_swap_cost = cost;
+                  fit_swap = std::move(trial);
+                }
               } else if (member.bytes - repl_est.bytes > reduce_amount) {
                 reduce_amount = member.bytes - repl_est.bytes;
                 reduce_member = m;
@@ -371,28 +308,10 @@ Configuration Advisor::Enumerate(
               }
             }
           }
-          const std::vector<double> swap_costs = ParallelMap<double>(
-              options_.pool, fit_swaps.size(), [&](size_t k) {
-                // Infinite swap costs can never beat best_fit/current, so a
-                // cancel mid-backtrack leaves the configuration untouched.
-                if (CancelRequested()) {
-                  return std::numeric_limits<double>::infinity();
-                }
-                return trial_cost(fit_swaps[k]);
-              });
-          charge_calls(fit_swaps.size());
-          int fit_swap = -1;
-          double fit_swap_cost = std::numeric_limits<double>::infinity();
-          for (size_t k = 0; k < fit_swaps.size(); ++k) {
-            if (swap_costs[k] < fit_swap_cost) {
-              fit_swap_cost = swap_costs[k];
-              fit_swap = static_cast<int>(k);
-            }
-          }
-          if (fit_swap >= 0) {
+          if (fit_swap.size() > 0) {
             if (fit_swap_cost < best_recovered_cost) {
               best_recovered_cost = fit_swap_cost;
-              best_recovered = std::move(fit_swaps[fit_swap]);
+              best_recovered = std::move(fit_swap);
             }
             break;
           }
@@ -543,8 +462,7 @@ AdvisorResult Advisor::TuneStagedBaseline(const Workload& workload,
   }
 
   // Stage 2: compress every chosen index, re-estimating sizes (one batch
-  // across the estimation pool) and re-costing the workload with the
-  // per-statement costings fanned across the enumeration pool.
+  // across the estimation pool) and re-costing the workload uncached.
   using Clock = std::chrono::steady_clock;
   auto t0 = Clock::now();
   std::vector<IndexDef> compressed;
@@ -556,9 +474,8 @@ AdvisorResult Advisor::TuneStagedBaseline(const Workload& workload,
   result.estimation_ms +=
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   // A cancel anywhere in stage 2 (mid-estimation or mid-re-cost) keeps the
-  // coherent stage-1 design: `sizes` may be short and a pooled sum that
-  // skipped statements is meaningless, so result.config/final_cost are only
-  // overwritten once stage 2 finished clean.
+  // coherent stage-1 design: `sizes` may be short, so result.config and
+  // final_cost are only overwritten once stage 2 finished clean.
   if (CancelRequested()) {
     result.cancelled = true;
     return result;  // stage-1 design, uncompressed
@@ -568,7 +485,7 @@ AdvisorResult Advisor::TuneStagedBaseline(const Workload& workload,
     config.Add(sizes.at(def.Signature()));
   }
   t0 = Clock::now();
-  const double final_cost = PooledWorkloadCost(workload, config, &result);
+  const double final_cost = WorkloadCost(workload, config, nullptr, &result);
   result.enumeration_ms +=
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   if (CancelRequested()) {

@@ -12,7 +12,6 @@
 
 #include "advisor/advisor_options.h"
 #include "advisor/candidates.h"
-#include "common/thread_pool.h"
 #include "estimator/size_estimator.h"
 #include "optimizer/cost_cache.h"
 #include "optimizer/what_if.h"
@@ -93,10 +92,8 @@ class Advisor {
   // Per-query candidate selection: keep candidates that appear in the
   // query's top-k configurations or on its size/cost skyline. The
   // single-index costings go through `cost_cache` (may be null), where
-  // they double as warm-up for the first enumeration step; they fan out
-  // over options_.pool and are reduced serially in (query, candidate)
-  // order, so the selected pool is bit-identical at any thread count.
-  // Public for tests and tooling.
+  // they double as warm-up for the first enumeration step. Queries and
+  // candidates are scanned in input order. Public for tests and tooling.
   std::vector<IndexDef> SelectCandidates(
       const Workload& workload, const std::vector<IndexDef>& candidates,
       const std::map<std::string, PhysicalIndexEstimate>& sizes,
@@ -104,8 +101,8 @@ class Advisor {
 
  private:
   // Greedy enumeration with optional backtracking. `cost_cache` may be
-  // null (uncached costing); trial evaluations run on options_.pool when
-  // it is set.
+  // null (uncached costing). Trials are costed in pool order and the first
+  // strictly better one wins.
   Configuration Enumerate(
       const Workload& workload, const std::vector<IndexDef>& pool,
       const std::map<std::string, PhysicalIndexEstimate>& sizes,
@@ -115,13 +112,6 @@ class Advisor {
   double WorkloadCost(const Workload& workload, const Configuration& config,
                       StatementCostCache* cost_cache,
                       AdvisorResult* result) const;
-
-  // Uncached workload costing with the per-statement optimizer calls
-  // fanned across options_.pool; the weighted sum is reduced in statement
-  // order, reproducing WhatIfOptimizer::WorkloadCost to the bit.
-  double PooledWorkloadCost(const Workload& workload,
-                            const Configuration& config,
-                            AdvisorResult* result) const;
 
   bool CanAdd(const Configuration& config, const IndexDef& def) const;
 

@@ -50,20 +50,13 @@ struct AdvisorOptions {
   EnumerationMode enumeration = EnumerationMode::kGreedy;
   bool backtracking = true;  // Section 6.2 oversize recovery
 
-  // --- search-loop performance knobs ---
-  // Pool for the advisor's independent what-if costings: the per-query
-  // single-index costings of SelectCandidates, Enumerate's trial
-  // evaluations (the main candidate loop and the backtracking swap
-  // search), and the staged baseline's stage-2 re-costing. Null runs
-  // serially. Not owned: the AdvisorEngine shares one search pool across
-  // requests. Results are bit-identical with or without a pool: costings
-  // are reduced serially in pool order. Independent of size_options.pool
-  // (the estimation pool).
-  ThreadPool* pool = nullptr;
-  // Per-statement what-if cost cache: adding an index only changes the
-  // cost of statements touching its object, so unchanged statements reuse
-  // cached costs across trials (bit-identical to uncached costing). The
-  // hit/miss counts land in AdvisorResult::stmt_costs_{cached,computed}.
+  // --- search-loop performance knob ---
+  // The search (candidate selection and enumeration) runs serially on the
+  // tuning thread. Per-statement what-if cost cache: adding an index only
+  // changes the cost of statements touching its object, so unchanged
+  // statements reuse cached costs across trials (bit-identical to uncached
+  // costing). The hit/miss counts land in
+  // AdvisorResult::stmt_costs_{cached,computed}.
   bool cost_cache = true;
 
   // --- engine integration (see src/engine/advisor_engine.h) ---

@@ -6,6 +6,7 @@
 
 #include "advisor/report.h"
 #include "advisor/report_json.h"
+#include "common/logging.h"
 
 namespace capd {
 
@@ -17,9 +18,7 @@ AdvisorEngine::AdvisorEngine(const Database& db, EngineOptions options)
       optimizer_(db, CostModelParams{}),
       estimation_cache_(std::make_shared<EstimationCache>()) {
   optimizer_.set_mv_matcher(&mvs_);
-  if (options_.search_threads != 1) {
-    search_pool_ = std::make_unique<ThreadPool>(options_.search_threads);
-  }
+  CAPD_CHECK_EQ(options_.search_threads, 1) << "the search runs serially";
   if (options_.estimation_threads != 1) {
     estimation_pool_ =
         std::make_unique<ThreadPool>(options_.estimation_threads);
@@ -50,7 +49,6 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
 
   // Strategy base options + request knobs + engine-owned collaborators.
   AdvisorOptions options = strategy->MakeOptions();
-  options.pool = search_pool_.get();
   options.size_options.pool = estimation_pool_.get();
   if (request.enable_mv >= 0) options.enable_mv = request.enable_mv != 0;
   if (request.enable_partial >= 0) {

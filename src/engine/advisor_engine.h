@@ -2,8 +2,9 @@
 // tool — the "advisor as a managed service" the paper's DBA workflow
 // assumes. Construct one engine per database; it owns the whole
 // collaborator stack (sample manager, MV registry, what-if optimizer, the
-// cross-round estimation cache, the thread pools) and serves tuning
-// requests from it, keeping samples and estimates warm across requests.
+// cross-round estimation cache, the estimation thread pool) and serves
+// tuning requests from it, keeping samples and estimates warm across
+// requests.
 //
 //   AdvisorEngine engine(db);
 //   TuningRequest request;
@@ -40,12 +41,14 @@
 namespace capd {
 
 struct EngineOptions {
-  // Worker threads for every request's search loop (what-if costings) and
-  // estimation batches; 1 = serial, 0 = hardware concurrency. The engine
-  // builds each pool once, at construction, and shares it across
-  // concurrent requests (results stay bit-identical at any thread count).
-  int search_threads = 1;
+  // Worker threads for every request's estimation batches; 1 = serial,
+  // 0 = hardware concurrency. The engine builds the pool once, at
+  // construction, and shares it across concurrent requests (results stay
+  // bit-identical at any thread count). The search runs serially.
   int estimation_threads = 1;
+  // Must be 1 (the constructor checks it). Kept only because the benchmark
+  // driver (perfbench/driver.cc) still assigns it; it goes with that line.
+  int search_threads = 1;
 
   // Seed of the engine-owned SampleManager. Samples are seeded per cache
   // key, so any fixed seed gives run-to-run reproducibility.
@@ -119,8 +122,8 @@ struct TuningRequest {
   std::function<void(const std::string& phase)> fault_hook;
   // Cancel handle; keep a copy and call RequestCancel() to stop the run at
   // the next phase boundary or enumeration step. Also polled inside the
-  // batch-estimation fraction probes / SampleCF leaves and the pooled
-  // costing loops, so a cancel binds within long phases too.
+  // batch-estimation fraction probes / SampleCF leaves and before each
+  // what-if costing, so a cancel binds within long phases too.
   CancellationToken cancel;
 };
 
@@ -163,10 +166,10 @@ class AdvisorEngine {
   TuningResponse Tune(const TuningRequest& request);
 
   // Low-level escape hatch: run Advisor::Tune with caller-built options on
-  // the engine-owned stack. The options are honored verbatim, pools
-  // included: a null pool runs serially, and the engine's own pools and
-  // estimation cache are not lent. Benches use this for ablation variants
-  // no registered strategy covers.
+  // the engine-owned stack. The options are honored verbatim, the
+  // estimation pool included: a null pool runs serially, and the engine's
+  // own pool and estimation cache are not lent. Benches use this for
+  // ablation variants no registered strategy covers.
   AdvisorResult TuneWithOptions(const Workload& workload, double budget_bytes,
                                 const AdvisorOptions& options);
 
@@ -205,7 +208,6 @@ class AdvisorEngine {
   // by one request are not re-sampled by the next.
   std::shared_ptr<EstimationCache> estimation_cache_;
   // Built from options_ at construction; null when the count is 1.
-  std::unique_ptr<ThreadPool> search_pool_;
   std::unique_ptr<ThreadPool> estimation_pool_;
 };
 

@@ -24,7 +24,7 @@ StatementCostCache::StatementCostCache(const Database& db,
     : db_(&db),
       optimizer_(&optimizer),
       workload_(&workload),
-      shards_(workload.statements.size()) {
+      costs_(workload.statements.size()) {
   scopes_.reserve(workload.statements.size());
   for (const Statement& stmt : workload.statements) {
     StatementScope scope;
@@ -119,25 +119,18 @@ bool StatementCostCache::ComputeRelevant(size_t stmt_index,
 
 const StatementCostCache::IndexInfo& StatementCostCache::InfoFor(
     const IndexDef& idx) {
-  const std::string signature = idx.Signature();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_info_.find(signature);
-    // References into the node-based map stay valid across later inserts.
-    if (it != index_info_.end()) return it->second;
-  }
-  IndexInfo info;
+  // References into the node-based map stay valid across later inserts.
+  const auto [it, inserted] = index_info_.try_emplace(idx.Signature());
+  IndexInfo& info = it->second;
+  if (!inserted) return info;
+  // Ids are only unique labels within this cache instance — cost values
+  // never depend on their numeric order.
+  info.id = static_cast<uint32_t>(index_info_.size());
   info.relevant.resize(workload_->statements.size());
   for (size_t i = 0; i < workload_->statements.size(); ++i) {
     info.relevant[i] = ComputeRelevant(i, idx) ? 1 : 0;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  // First inserter wins the id; a concurrent compute produced the same
-  // bitmap, so either copy is fine. Ids are only unique labels within this
-  // cache instance — cost values never depend on their numeric order.
-  const auto [it, inserted] = index_info_.emplace(signature, std::move(info));
-  if (inserted) it->second.id = static_cast<uint32_t>(index_info_.size());
-  return it->second;
+  return info;
 }
 
 bool StatementCostCache::Relevant(size_t stmt_index, const IndexDef& idx) {
@@ -150,30 +143,20 @@ double StatementCostCache::CostWithInfos(
   // The cost of a statement is a function of the *ordered subsequence* of
   // relevant indexes (best-path ties and floating-point sums follow
   // configuration order), so the key preserves that order — never sorts.
-  // The statement index itself is the shard, so it never enters the key.
+  // The statement index selects the map, so it never enters the key.
   std::string key;
   key.reserve(4 * infos.size());
   for (const IndexInfo* info : infos) {
     if (info->relevant[stmt_index]) AppendU32(&key, info->id);
   }
-  Shard& shard = shards_[stmt_index];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.costs.find(key);
-    if (it != shard.costs.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
+  const auto [it, inserted] = costs_[stmt_index].try_emplace(std::move(key));
+  if (!inserted) {
+    ++hits_;
+    return it->second;
   }
-  const double cost =
-      optimizer_->Cost(workload_->statements[stmt_index], config);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Only the inserting worker counts a miss; a worker that lost the race
-  // computed the same value and counts a hit, so misses() is the number of
-  // distinct keys at any thread count.
-  const bool inserted = shard.costs.emplace(std::move(key), cost).second;
-  (inserted ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
-  return cost;
+  ++misses_;
+  it->second = optimizer_->Cost(workload_->statements[stmt_index], config);
+  return it->second;
 }
 
 double StatementCostCache::Cost(size_t stmt_index,

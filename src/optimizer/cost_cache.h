@@ -18,9 +18,7 @@
 #ifndef CAPD_OPTIMIZER_COST_CACHE_H_
 #define CAPD_OPTIMIZER_COST_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,11 +29,8 @@
 
 namespace capd {
 
-// Thread-safe: Enumerate's parallel trial evaluations share one cache.
-// Concurrent misses on the same key may both run the (pure, deterministic)
-// optimizer; the first to insert counts the miss and the other counts a
-// hit, so results and counters are independent of thread count and
-// interleaving: misses() is the number of distinct keys costed.
+// Built per Advisor::Tune and used only by its (serial) search, so it is
+// not thread-safe. misses() is the number of distinct keys costed.
 class StatementCostCache {
  public:
   // All three referents must outlive the cache.
@@ -52,8 +47,8 @@ class StatementCostCache {
   double WorkloadCost(const Configuration& config);
 
   // Statement costings served from the cache / computed by the optimizer.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
 
   // True if `idx` can influence the cost of statement `stmt_index`
   // (exposed for tests; memoized by index signature).
@@ -90,21 +85,13 @@ class StatementCostCache {
   const Workload* workload_;
   std::vector<StatementScope> scopes_;
 
-  // Cost entries are sharded per statement (the statement index is the
-  // natural partition of every key), so the selection/enumeration fan-out
-  // contends per statement instead of on one global mutex. The id/relevance
-  // interner keeps its own lock; its traffic is one lookup per distinct
-  // index per trial configuration.
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<std::string, double> costs;  // byte key -> cost
-  };
-  std::vector<Shard> shards_;  // one per workload statement
+  // One map per workload statement: byte key (the relevant index ids in
+  // configuration order) -> cost.
+  std::vector<std::unordered_map<std::string, double>> costs_;
 
-  std::mutex mu_;
   std::unordered_map<std::string, IndexInfo> index_info_;  // by signature
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
 };
 
 }  // namespace capd

@@ -1,6 +1,7 @@
 #include "query/sql_parser.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <vector>
 
@@ -156,6 +157,37 @@ class Parser {
     return Value::Date(*days);
   }
 
+  // A number token must parse whole (`1.2.3` is not a number) and in range,
+  // an integer or date column takes no fractional part, and a string
+  // column takes no number (a cross-type compare would abort the tuning).
+  Value NumberLiteral(const std::string& text, ValueType type) {
+    if (type == ValueType::kString) {
+      error_ = "number '" + text + "' compared with a column of type " +
+               ValueTypeName(type);
+      return Value();
+    }
+    char* end = nullptr;
+    errno = 0;
+    Value value = Value::Double(std::strtod(text.c_str(), &end));
+    if (*end != '\0') {
+      error_ = "invalid number '" + text + "'";
+      return Value();
+    }
+    if (type != ValueType::kDouble) {
+      const long long v = std::strtoll(text.c_str(), &end, 10);
+      if (*end != '\0') {
+        error_ = "number '" + text + "' is not an integer";
+        return Value();
+      }
+      value = type == ValueType::kDate ? Value::Date(v) : Value::Int64(v);
+    }
+    if (errno == ERANGE) {
+      error_ = "number '" + text + "' is out of range";
+      return Value();
+    }
+    return value;
+  }
+
   Value ParseLiteral(ValueType type) {
     if (AcceptKeyword("DATE")) {
       if (cur_.kind != Token::kString) {
@@ -169,19 +201,17 @@ class Parser {
     if (cur_.kind == Token::kNumber) {
       const std::string text = cur_.text;
       Advance();
-      switch (type) {
-        case ValueType::kDouble:
-          return Value::Double(std::strtod(text.c_str(), nullptr));
-        case ValueType::kDate:
-          return Value::Date(std::strtoll(text.c_str(), nullptr, 10));
-        default:
-          return Value::Int64(std::strtoll(text.c_str(), nullptr, 10));
-      }
+      return NumberLiteral(text, type);
     }
     if (cur_.kind == Token::kString) {
       std::string text = cur_.text;
       Advance();
       if (type == ValueType::kDate) return DateLiteral(text);
+      if (type != ValueType::kString) {
+        error_ = "string '" + text + "' compared with a column of type " +
+                 ValueTypeName(type);
+        return Value();
+      }
       return Value::String(std::move(text));
     }
     error_ = "expected literal near '" + cur_.text + "'";
@@ -310,7 +340,21 @@ class Parser {
       error_ = "expected row count";
       return std::nullopt;
     }
-    ins.num_rows = std::strtoull(cur_.text.c_str(), nullptr, 10);
+    // strtoull would wrap a negative count and stop at a '.', so the token
+    // must be digits only.
+    const std::string& text = cur_.text;
+    for (const char c : text) {
+      if (!std::isdigit(static_cast<unsigned char>(c))) {
+        error_ = "invalid row count '" + text + "'";
+        return std::nullopt;
+      }
+    }
+    errno = 0;
+    ins.num_rows = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno == ERANGE) {
+      error_ = "row count '" + text + "' is out of range";
+      return std::nullopt;
+    }
     Advance();
     if (!ExpectKeyword("ROWS")) return std::nullopt;
     return Statement::Insert("", std::move(ins));

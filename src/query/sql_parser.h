@@ -7,7 +7,10 @@
 //   cond  := ident (= | < | <= | > | >=) literal
 //          | ident BETWEEN literal AND literal
 //   INSERT INTO ident VALUES <n> ROWS
-// Literals: integers, doubles, 'strings', DATE 'YYYY-MM-DD'.
+// Literals: integers, doubles, 'strings', DATE 'YYYY-MM-DD'. A 'string'
+// compares only with a string or date column, a number never with a
+// string column, a fractional number only with a double column, and <n>
+// is an unsigned 64-bit integer.
 #ifndef CAPD_QUERY_SQL_PARSER_H_
 #define CAPD_QUERY_SQL_PARSER_H_
 

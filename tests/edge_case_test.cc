@@ -136,12 +136,9 @@ TEST_F(AdvisorEdgeCase, EmptyWorkload) {
 }
 
 TEST_F(AdvisorEdgeCase, EmptyWorkloadParallelAndStaged) {
-  // The parallel selection/enumeration fan-out and the staged baseline's
-  // stage 2 must survive a workload with no statements (zero-shard cost
-  // cache, zero costing jobs).
-  ThreadPool pool(4);
+  // Selection, enumeration and the staged baseline's stage 2 must survive
+  // a workload with no statements (an empty cost cache, zero costings).
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult tuned = advisor.Tune(Workload{}, 1e9);
   EXPECT_EQ(tuned.config.size(), 0u);
@@ -154,38 +151,16 @@ TEST_F(AdvisorEdgeCase, EmptyWorkloadParallelAndStaged) {
 TEST_F(AdvisorEdgeCase, ZeroStorageBudget) {
   // At a 0-byte budget only configurations that free space (compressed
   // clustered indexes replacing the heap) may be charged.
-  ThreadPool pool(2);
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult r = advisor.Tune(workload_, 0.0);
   EXPECT_LE(r.charged_bytes, 1.0);
   EXPECT_LE(r.final_cost, r.initial_cost);
 }
 
-TEST_F(AdvisorEdgeCase, SingleStatementWorkloadParallelMatchesSerial) {
-  Workload single;
-  single.statements.push_back(workload_.statements.front());
-  ASSERT_EQ(single.statements.front().type, StatementType::kSelect);
-
-  AdvisorOptions serial = AdvisorOptions::DTAcBoth();
-  Advisor a1(db_, *optimizer_, sizes_.get(), nullptr, serial);
-  const AdvisorResult base = a1.Tune(single, 1e9);
-
-  ThreadPool pool(8);  // more workers than costing jobs per query
-  AdvisorOptions parallel = serial;
-  parallel.pool = &pool;
-  Advisor a2(db_, *optimizer_, sizes_.get(), nullptr, parallel);
-  const AdvisorResult r = a2.Tune(single, 1e9);
-  EXPECT_DOUBLE_EQ(base.final_cost, r.final_cost);
-  EXPECT_EQ(base.config.size(), r.config.size());
-}
-
 TEST_F(AdvisorEdgeCase, TopKZeroSelectsNothing) {
-  ThreadPool pool(2);
   AdvisorOptions options = AdvisorOptions::DTAcNone();
   options.top_k = 0;
-  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult r = advisor.Tune(workload_, 1e9);
   // An empty candidate pool must yield an empty (not crashed) tuning.
@@ -195,12 +170,10 @@ TEST_F(AdvisorEdgeCase, TopKZeroSelectsNothing) {
 }
 
 TEST_F(AdvisorEdgeCase, UnboundedEstimationCacheWithThreads) {
-  // Capacity 0 means "unbounded", and it must compose with both thread
-  // pools (estimation + search) without crashing or drifting.
-  ThreadPool search_pool(4);
+  // Capacity 0 means "unbounded", and it must compose with the estimation
+  // pool without crashing or drifting.
   ThreadPool estimation_pool(2);
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.pool = &search_pool;
   options.size_options.pool = &estimation_pool;
   options.size_options.cache =
       std::make_shared<EstimationCache>(/*capacity_bytes=*/0);

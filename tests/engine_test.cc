@@ -1,8 +1,8 @@
 // AdvisorEngine service-API tests: the headline guarantee is that
 // concurrent Tune() requests on one engine — shared samples, shared
-// estimation cache, shared pools — are bit-identical (results AND rendered
-// reports, bytes included) to running each request alone on a freshly
-// hand-wired stack. Plus: strategy resolution errors, cooperative
+// estimation cache, shared estimation pool — are bit-identical (results
+// AND rendered reports, bytes included) to running each request alone on
+// a freshly hand-wired stack. Plus: strategy resolution errors, cooperative
 // cancellation, budget-mode edge cases (fraction vs bytes, 0% / 100% / 0
 // bytes pinning the negative-charge behavior of the paper's Example 1/2),
 // and JSON goldens for all three report strategies on TPC-H.
@@ -123,11 +123,11 @@ TEST_F(EngineTest, ConcurrentTuneBitIdenticalToFreshStacks) {
                                       BudgetBytes());
   }
 
-  // Serial, and with both engine pools shared by the concurrent requests.
+  // Serial, and with the engine's estimation pool shared by the concurrent
+  // requests.
   for (const int engine_threads : {1, 2}) {
     for (const int clients : {1, 2, 4}) {
       EngineOptions options;
-      options.search_threads = engine_threads;
       options.estimation_threads = engine_threads;
       AdvisorEngine engine(*built_.db, options);
 
@@ -286,7 +286,6 @@ TEST_F(EngineTest, ZeroAndFullBudgetEdges) {
 
 TEST_F(EngineTest, EngineThreadCountsNeverChangeResults) {
   EngineOptions options;
-  options.search_threads = 4;
   options.estimation_threads = 2;
   AdvisorEngine engine(*built_.db, options);
   const FreshRun reference = RunOnFreshStack(*built_.db, built_.workload,

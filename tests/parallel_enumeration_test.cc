@@ -1,7 +1,6 @@
-// Determinism tests for the parallel advisor search loop: Advisor::Tune
-// with enumeration fanned across 2/4/8 threads — and with the
-// per-statement cost cache on or off — must reproduce the serial,
-// uncached result to the bit (same guarantee the estimation engine gives).
+// Determinism tests for the advisor's enumeration: Advisor::Tune with the
+// per-statement cost cache on must reproduce the uncached result to the
+// bit, for the benefit greedy and the density greedy alike.
 #include <cstring>
 #include <memory>
 
@@ -13,7 +12,7 @@
 namespace capd {
 namespace {
 
-class ParallelEnumerationTest : public ::testing::Test {
+class EnumerationCostCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
     tpch::Options opt;
@@ -57,7 +56,7 @@ class ParallelEnumerationTest : public ::testing::Test {
   Workload workload_;
 };
 
-TEST_F(ParallelEnumerationTest, CostCacheDoesNotChangeTheResult) {
+TEST_F(EnumerationCostCacheTest, CostCacheDoesNotChangeTheResult) {
   AdvisorOptions uncached = AdvisorOptions::DTAcBoth();
   uncached.cost_cache = false;
   AdvisorOptions cached = AdvisorOptions::DTAcBoth();
@@ -74,44 +73,22 @@ TEST_F(ParallelEnumerationTest, CostCacheDoesNotChangeTheResult) {
   }
 }
 
-TEST_F(ParallelEnumerationTest, ParallelEnumerateBitIdenticalToSerial) {
-  AdvisorOptions serial = AdvisorOptions::DTAcBoth();
-  serial.cost_cache = false;
-  const AdvisorResult base = Tune(serial, 0.08);
+TEST_F(EnumerationCostCacheTest, DensityGreedyCostCacheMatchesUncached) {
+  AdvisorOptions uncached = AdvisorOptions::DTAcBoth();
+  uncached.enumeration = EnumerationMode::kDensityGreedy;
+  uncached.cost_cache = false;
+  const AdvisorResult base = Tune(uncached, 0.05);
   // With the cost cache off every costing runs the optimizer.
   EXPECT_EQ(base.stmt_costs_cached, 0u);
   EXPECT_GT(base.stmt_costs_computed, 0u);
 
-  for (int threads : {2, 4, 8}) {
-    ThreadPool pool(threads);
-    for (bool cache : {false, true}) {
-      AdvisorOptions parallel = AdvisorOptions::DTAcBoth();
-      parallel.cost_cache = cache;
-      parallel.pool = &pool;
-      ExpectBitIdentical(base, Tune(parallel, 0.08));
-    }
-  }
-}
-
-TEST_F(ParallelEnumerationTest, DensityGreedyParallelMatchesSerial) {
-  AdvisorOptions serial = AdvisorOptions::DTAcBoth();
-  serial.enumeration = EnumerationMode::kDensityGreedy;
-  serial.cost_cache = false;
-  const AdvisorResult base = Tune(serial, 0.05);
-
-  ThreadPool pool(4);
-  AdvisorOptions parallel = serial;
-  parallel.cost_cache = true;
-  parallel.pool = &pool;
-  ExpectBitIdentical(base, Tune(parallel, 0.05));
-}
-
-TEST_F(ParallelEnumerationTest, HardwareConcurrencyKnobWorks) {
-  ThreadPool pool(0);  // hardware concurrency
-  AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.pool = &pool;
-  const AdvisorResult r = Tune(options, 0.10);
-  EXPECT_GT(r.what_if_calls, 0u);
+  AdvisorOptions cached = uncached;
+  cached.cost_cache = true;
+  const AdvisorResult r = Tune(cached, 0.05);
+  ExpectBitIdentical(base, r);
+  EXPECT_EQ(base.what_if_calls, r.what_if_calls);
+  EXPECT_EQ(r.stmt_costs_computed + r.stmt_costs_cached,
+            base.stmt_costs_computed);
 }
 
 }  // namespace

@@ -118,6 +118,53 @@ TEST_F(QueryTest, NonNumericDateIsAnError) {
       db_);
 }
 
+// A malformed number or a literal of the wrong type is an error status
+// from ParseSql, never an abort and never a silently changed value.
+void ExpectParseError(const std::string& sql, const std::string& message,
+                      const Database& db) {
+  std::string err;
+  EXPECT_FALSE(ParseSql(sql, db, &err).has_value()) << sql;
+  EXPECT_NE(err.find(message), std::string::npos) << sql << ": " << err;
+}
+
+TEST_F(QueryTest, NegativeInsertRowCountIsAnError) {
+  ExpectParseError("INSERT INTO lineitem VALUES -5 ROWS",
+                   "invalid row count '-5'", db_);
+}
+
+TEST_F(QueryTest, OverflowingInsertRowCountIsAnError) {
+  // 2^64: one past the largest uint64_t.
+  ExpectParseError("INSERT INTO lineitem VALUES 18446744073709551616 ROWS",
+                   "row count '18446744073709551616' is out of range", db_);
+}
+
+TEST_F(QueryTest, MalformedNumberIsAnError) {
+  ExpectParseError("SELECT COUNT(*) FROM lineitem WHERE l_quantity < 1.2.3",
+                   "invalid number '1.2.3'", db_);
+}
+
+TEST_F(QueryTest, FractionalNumberOnIntColumnIsAnError) {
+  ExpectParseError("SELECT COUNT(*) FROM lineitem WHERE l_quantity < 2.5",
+                   "number '2.5' is not an integer", db_);
+  // A double column takes the same literal.
+  std::string err;
+  EXPECT_TRUE(ParseSql("SELECT COUNT(*) FROM lineitem WHERE l_discount < 2.5",
+                       db_, &err)
+                  .has_value())
+      << err;
+}
+
+TEST_F(QueryTest, StringOnNumericColumnIsAnError) {
+  ExpectParseError("SELECT COUNT(*) FROM lineitem WHERE l_quantity < 'abc'",
+                   "string 'abc' compared with a column of type INT64", db_);
+}
+
+TEST_F(QueryTest, NumberOnStringColumnIsAnError) {
+  // Parsed, this predicate aborted the tuning run on a cross-type compare.
+  ExpectParseError("SELECT COUNT(*) FROM lineitem WHERE l_returnflag = 5",
+                   "number '5' compared with a column of type STRING", db_);
+}
+
 TEST_F(QueryTest, TryParseDateLiteralChecksTheCalendar) {
   EXPECT_EQ(TryParseDateLiteral("1970-01-02"), 1);
   EXPECT_TRUE(TryParseDateLiteral("2000-02-29").has_value());  // leap year

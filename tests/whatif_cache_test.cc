@@ -1,9 +1,7 @@
 // Tests for the per-statement what-if cost cache: cached WorkloadCost must
 // match the uncached optimizer to the bit on randomized configurations,
 // and the relevance gates must mirror the optimizer's own usability rules.
-#include <atomic>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -145,39 +143,6 @@ TEST_F(WhatIfCacheTest, IrrelevantIndexReusesStatementCosts) {
   const double direct = optimizer_->WorkloadCost(workload_, extended);
   EXPECT_EQ(std::memcmp(&cached, &direct, sizeof(double)), 0);
   EXPECT_LT(cache.misses() - misses_before, workload_.statements.size() / 2);
-}
-
-TEST_F(WhatIfCacheTest, CountersAreExactUnderConcurrentMisses) {
-  const std::vector<PhysicalIndexEstimate> pool = CandidatePool();
-  Random rng(20261017);
-  std::vector<Configuration> configs;
-  for (int i = 0; i < 12; ++i) configs.push_back(RandomConfig(pool, &rng));
-
-  // A serial pass over the same configurations counts each distinct key
-  // exactly once.
-  StatementCostCache serial(db_, *optimizer_, workload_);
-  for (const Configuration& config : configs) serial.WorkloadCost(config);
-  const uint64_t distinct_keys = serial.misses();
-
-  // Eight workers start together and cost every configuration in the same
-  // order, so they race on the same keys.
-  constexpr int kThreads = 8;
-  StatementCostCache shared(db_, *optimizer_, workload_);
-  std::atomic<int> waiting{kThreads};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
-      waiting.fetch_sub(1);
-      while (waiting.load() > 0) std::this_thread::yield();
-      for (const Configuration& config : configs) shared.WorkloadCost(config);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
-  const uint64_t lookups =
-      uint64_t{kThreads} * configs.size() * workload_.statements.size();
-  EXPECT_EQ(shared.misses(), distinct_keys);
-  EXPECT_EQ(shared.hits() + shared.misses(), lookups);
 }
 
 TEST_F(WhatIfCacheTest, RelevanceMirrorsOptimizerGates) {
