@@ -1,9 +1,10 @@
-// Benchmark for the candidate-selection phase: full DTAc tuning runs over
-// the TPC-H workload, cost cache off and on, with a per-phase wall-time
-// breakdown — size estimation / per-query candidate selection /
-// enumeration — plus the stmt_costs_{computed,cached} counters showing the
-// selection-phase costings warming (and hitting) the StatementCostCache.
-// The cached run is checked bit-identical to the uncached one.
+// Benchmark for the what-if search: full DTAc tuning runs over the TPC-H
+// workload, cost cache off and on, with a per-phase wall-time breakdown —
+// size estimation / per-query candidate selection / enumeration — plus
+// the what_if_calls and stmt_costs_{computed,cached} counters showing how
+// many statement costings the StatementCostCache serves (selection-phase
+// costings warm it for enumeration). The cached run is checked
+// bit-identical to the uncached one.
 #include <cstring>
 
 #include "bench/bench_common.h"
@@ -27,17 +28,17 @@ bool SameRecommendation(const AdvisorResult& a, const AdvisorResult& b) {
 }
 
 void PrintRow(const char* label, const AdvisorResult& r, bool identical) {
-  std::printf("%-10s %10.1f %10.1f %10.1f %10.1f %10zu %10zu %10s\n", label,
-              r.estimation_ms, r.selection_ms, r.enumeration_ms,
+  std::printf("%-10s %10.1f %10.1f %10.1f %10.1f %10zu %10zu %10zu %10s\n",
+              label, r.estimation_ms, r.selection_ms, r.enumeration_ms,
               r.estimation_ms + r.selection_ms + r.enumeration_ms,
-              r.stmt_costs_computed, r.stmt_costs_cached,
+              r.what_if_calls, r.stmt_costs_computed, r.stmt_costs_cached,
               identical ? "yes" : "NO");
 }
 
 void PrintPhaseHeader() {
-  std::printf("%-10s %10s %10s %10s %10s %10s %10s %10s\n", "run", "est-ms",
-              "sel-ms", "enum-ms", "total-ms", "computed", "cached",
-              "identical");
+  std::printf("%-10s %10s %10s %10s %10s %10s %10s %10s %10s\n", "run",
+              "est-ms", "sel-ms", "enum-ms", "total-ms", "what-if", "computed",
+              "cached", "identical");
 }
 
 void RecordRow(BenchContext* ctx, const std::string& key,
@@ -45,6 +46,7 @@ void RecordRow(BenchContext* ctx, const std::string& key,
   ctx->report.AddTimeMs("estimation_ms" + key, r.estimation_ms);
   ctx->report.AddTimeMs("selection_ms" + key, r.selection_ms);
   ctx->report.AddTimeMs("enumeration_ms" + key, r.enumeration_ms);
+  ctx->report.AddCounter("what_if_calls" + key, r.what_if_calls);
   ctx->report.AddCounter("stmt_costs_computed" + key, r.stmt_costs_computed);
   ctx->report.AddCounter("stmt_costs_cached" + key, r.stmt_costs_cached);
   ctx->report.AddCounter("identical" + key, identical ? 1 : 0);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <set>
+#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -47,19 +48,6 @@ double Advisor::WorkloadCost(const Workload& workload,
   }
   if (cost_cache != nullptr) return cost_cache->WorkloadCost(config);
   return optimizer_->WorkloadCost(workload, config);
-}
-
-bool Advisor::CanAdd(const Configuration& config, const IndexDef& def) const {
-  if (config.Contains(def.Signature())) return false;
-  // At most one clustered index per object.
-  if (def.clustered && config.HasClusteredOn(def.object)) return false;
-  // The same structure with a different compression is a competing index:
-  // physically legal but never useful together with its sibling for our
-  // optimizer, and it bloats enumeration, so forbid duplicates.
-  for (const PhysicalIndexEstimate& idx : config.indexes()) {
-    if (idx.def.StructureSignature() == def.StructureSignature()) return false;
-  }
-  return true;
 }
 
 std::map<std::string, PhysicalIndexEstimate> Advisor::EstimateSizes(
@@ -114,14 +102,33 @@ std::vector<IndexDef> Advisor::SelectCandidates(
   std::vector<IndexDef> selected;
   std::set<std::string> kept;
 
-  auto stmt_cost = [&](size_t stmt_index, const Configuration& config) {
+  // Per candidate, resolved once: its signature, its one-index
+  // configuration and that configuration's cost-cache ids.
+  std::vector<std::string> sigs;
+  std::vector<Configuration> singles(candidates.size());
+  std::vector<std::vector<uint32_t>> single_ids(candidates.size());
+  sigs.reserve(candidates.size());
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    sigs.push_back(candidates[c].Signature());
+    const auto it = sizes.find(sigs[c]);
+    CAPD_CHECK(it != sizes.end());
+    singles[c].Add(it->second);
+    if (cost_cache != nullptr) {
+      single_ids[c].push_back(cost_cache->Intern(it->second));
+    }
+  }
+  const Configuration empty;
+  const std::vector<uint32_t> no_ids;
+
+  auto stmt_cost = [&](size_t stmt_index, const Configuration& config,
+                       const std::vector<uint32_t>& ids) {
     // Skipped costings yield 0.0, which makes every candidate look
     // irrelevant (cost >= base_cost) — harmless, because Tune discards the
     // selection as soon as it sees the cancel flag. The cost cache is never
     // fed skipped values.
     if (CancelRequested()) return 0.0;
     return cost_cache != nullptr
-               ? cost_cache->Cost(stmt_index, config)
+               ? cost_cache->Cost(stmt_index, config, ids)
                : optimizer_->Cost(workload.statements[stmt_index], config);
   };
 
@@ -136,23 +143,19 @@ std::vector<IndexDef> Advisor::SelectCandidates(
       }
     }
     struct Entry {
-      const IndexDef* def;
+      size_t candidate;
       double cost;
       double bytes;
     };
     std::vector<Entry> entries;
-    const double base_cost = stmt_cost(si, Configuration());
-    for (const IndexDef& def : candidates) {
-      const auto it = sizes.find(def.Signature());
-      CAPD_CHECK(it != sizes.end());
-      Configuration config;
-      config.Add(it->second);
-      const double cost = stmt_cost(si, config);
+    const double base_cost = stmt_cost(si, empty, no_ids);
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      const double cost = stmt_cost(si, singles[c], single_ids[c]);
       if (cost >= base_cost) continue;  // irrelevant to this query
       // Size dimension of the skyline is the *budget charge*: a clustered
       // index replaces the heap, so its effective footprint can be tiny (or
       // negative when compressed) even though the structure is large.
-      entries.push_back(Entry{&def, cost, ChargedBytes(config)});
+      entries.push_back(Entry{c, cost, ChargedBytes(singles[c])});
     }
 
     if (options_.selection == CandidateSelectionMode::kTopK) {
@@ -160,8 +163,8 @@ std::vector<IndexDef> Advisor::SelectCandidates(
                 [](const Entry& a, const Entry& b) { return a.cost < b.cost; });
       const size_t k = std::min<size_t>(options_.top_k, entries.size());
       for (size_t i = 0; i < k; ++i) {
-        if (kept.insert(entries[i].def->Signature()).second) {
-          selected.push_back(*entries[i].def);
+        if (kept.insert(sigs[entries[i].candidate]).second) {
+          selected.push_back(candidates[entries[i].candidate]);
         }
       }
     } else {
@@ -170,7 +173,7 @@ std::vector<IndexDef> Advisor::SelectCandidates(
       for (const Entry& e : entries) {
         bool dominated = false;
         for (const Entry& o : entries) {
-          if (o.def == e.def) continue;
+          if (o.candidate == e.candidate) continue;
           const bool better_or_equal = o.cost <= e.cost && o.bytes <= e.bytes;
           const bool strictly_better = o.cost < e.cost || o.bytes < e.bytes;
           if (better_or_equal && strictly_better) {
@@ -178,8 +181,8 @@ std::vector<IndexDef> Advisor::SelectCandidates(
             break;
           }
         }
-        if (!dominated && kept.insert(e.def->Signature()).second) {
-          selected.push_back(*e.def);
+        if (!dominated && kept.insert(sigs[e.candidate]).second) {
+          selected.push_back(candidates[e.candidate]);
         }
       }
     }
@@ -192,20 +195,68 @@ Configuration Advisor::Enumerate(
     const std::map<std::string, PhysicalIndexEstimate>& sizes,
     double budget_bytes, StatementCostCache* cost_cache,
     AdvisorResult* result) const {
-  Configuration config;
-  double current_cost = WorkloadCost(workload, config, cost_cache, result);
-
-  auto size_of = [&sizes](const IndexDef& def) -> const PhysicalIndexEstimate& {
-    const auto it = sizes.find(def.Signature());
-    CAPD_CHECK(it != sizes.end()) << def.ToString();
-    return it->second;
+  // The pool's signatures are rendered once. A configuration is tracked by
+  // the pool positions of its members, in configuration order, so the
+  // search compares and looks up ids, never strings.
+  const size_t n = pool.size();
+  std::vector<const PhysicalIndexEstimate*> est(n);
+  std::vector<size_t> sig_id(n), structure_id(n);
+  std::vector<uint32_t> cache_id(n);
+  {
+    std::unordered_map<std::string, size_t> sig_ids, structure_ids;
+    for (size_t p = 0; p < n; ++p) {
+      std::string sig = pool[p].Signature();
+      const auto it = sizes.find(sig);
+      CAPD_CHECK(it != sizes.end()) << pool[p].ToString();
+      est[p] = &it->second;
+      sig_id[p] =
+          sig_ids.emplace(std::move(sig), sig_ids.size()).first->second;
+      structure_id[p] =
+          structure_ids
+              .emplace(pool[p].StructureSignature(), structure_ids.size())
+              .first->second;
+      if (cost_cache != nullptr) cache_id[p] = cost_cache->Intern(*est[p]);
+    }
+  }
+  auto materialize = [&est](const std::vector<size_t>& at) {
+    Configuration config;
+    for (size_t p : at) config.Add(*est[p]);
+    return config;
   };
+  // Member `m` swapped for pool entry `p`: the others keep their order and
+  // the replacement goes last.
+  auto swapped = [](std::vector<size_t> at, size_t m, size_t p) {
+    at.erase(at.begin() + static_cast<std::ptrdiff_t>(m));
+    at.push_back(p);
+    return at;
+  };
+  auto can_add = [&](const std::vector<size_t>& at, size_t p) {
+    for (size_t m : at) {
+      // The same structure with a different compression is a competing
+      // index: physically legal but never useful together with its sibling
+      // for our optimizer, and it bloats enumeration, so forbid duplicates
+      // (and, with them, the index itself).
+      if (structure_id[m] == structure_id[p]) return false;
+      // At most one clustered index per object.
+      if (pool[p].clustered && pool[m].clustered &&
+          pool[m].object == pool[p].object) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  Configuration config;
+  std::vector<size_t> members;
+  double current_cost = WorkloadCost(workload, config, cost_cache, result);
 
   // Trial costing. Every trial is charged, but once a cancel fires its
   // costing is skipped and reads +inf ("no benefit"), so a skipped trial or
   // swap can never be picked; the next step then observes the flag and
   // stops with the coherent best-so-far configuration.
-  auto trial_cost = [&](const Configuration& trial) {
+  std::vector<uint32_t> trial_ids;
+  auto trial_cost = [&](const Configuration& trial,
+                        const std::vector<size_t>& at) {
     if (result != nullptr) {
       result->what_if_calls += workload.statements.size();
       if (cost_cache == nullptr) {
@@ -213,8 +264,12 @@ Configuration Advisor::Enumerate(
       }
     }
     if (CancelRequested()) return std::numeric_limits<double>::infinity();
-    return cost_cache != nullptr ? cost_cache->WorkloadCost(trial)
-                                 : optimizer_->WorkloadCost(workload, trial);
+    if (cost_cache == nullptr) {
+      return optimizer_->WorkloadCost(workload, trial);
+    }
+    trial_ids.clear();
+    for (size_t p : at) trial_ids.push_back(cache_id[p]);
+    return cost_cache->WorkloadCost(trial, trial_ids);
   };
 
   while (true) {
@@ -232,18 +287,19 @@ Configuration Advisor::Enumerate(
     int best_any = -1;       // best candidate ignoring the budget
     double best_any_benefit = 0.0;
 
-    for (size_t i = 0; i < pool.size(); ++i) {
-      const IndexDef& def = pool[i];
-      if (!CanAdd(config, def)) continue;
+    for (size_t i = 0; i < n; ++i) {
+      if (!can_add(members, i)) continue;
       Configuration trial = config;
-      trial.Add(size_of(def));
-      const double cost = trial_cost(trial);
+      trial.Add(*est[i]);
+      members.push_back(i);
+      const double cost = trial_cost(trial, members);
+      members.pop_back();
       const double benefit = current_cost - cost;
       if (benefit <= 1e-9) continue;
       const bool fits = ChargedBytes(trial) <= budget_bytes;
       const double score =
           options_.enumeration == EnumerationMode::kDensityGreedy
-              ? benefit / std::max(1.0, size_of(def).bytes)
+              ? benefit / std::max(1.0, est[i]->bytes)
               : benefit;
       if (fits && score > best_fit_score) {
         best_fit_score = score;
@@ -268,43 +324,43 @@ Configuration Advisor::Enumerate(
     // prefer a swap that fits immediately with the best workload cost,
     // otherwise the one freeing the most space (to converge).
     if (options_.backtracking && best_any >= 0 && best_any != best_fit) {
-      Configuration oversized = config;
-      oversized.Add(size_of(pool[best_any]));
-      if (ChargedBytes(oversized) > budget_bytes) {
+      std::vector<size_t> work_at = members;
+      work_at.push_back(static_cast<size_t>(best_any));
+      Configuration work = materialize(work_at);
+      if (ChargedBytes(work) > budget_bytes) {
         Configuration best_recovered;
+        std::vector<size_t> best_recovered_at;
         double best_recovered_cost = std::numeric_limits<double>::infinity();
-        Configuration work = oversized;
         for (int round = 0; round < 8; ++round) {
           // In-budget swaps are what-if costed in (member, replacement)
           // scan order and the first cheapest wins; otherwise remember the
           // swap freeing the most space.
           Configuration fit_swap;
+          std::vector<size_t> fit_swap_at;
           double fit_swap_cost = std::numeric_limits<double>::infinity();
           int reduce_member = -1, reduce_repl = -1;
           double reduce_amount = 0.0;
-          const auto& members = work.indexes();
-          for (int m = 0; m < static_cast<int>(members.size()); ++m) {
-            const PhysicalIndexEstimate& member = members[m];
-            for (int p = 0; p < static_cast<int>(pool.size()); ++p) {
-              const IndexDef& repl = pool[p];
-              if (repl.StructureSignature() != member.def.StructureSignature())
-                continue;
-              if (repl.Signature() == member.def.Signature()) continue;
-              const PhysicalIndexEstimate& repl_est = size_of(repl);
-              if (repl_est.bytes >= member.bytes) continue;
-              Configuration trial = work;
-              CAPD_CHECK(trial.Remove(member.def.Signature()));
-              trial.Add(repl_est);
+          for (size_t m = 0; m < work_at.size(); ++m) {
+            const size_t at = work_at[m];
+            const double member_bytes = work.indexes()[m].bytes;
+            for (size_t p = 0; p < n; ++p) {
+              if (structure_id[p] != structure_id[at]) continue;
+              if (sig_id[p] == sig_id[at]) continue;
+              const double repl_bytes = est[p]->bytes;
+              if (repl_bytes >= member_bytes) continue;
+              std::vector<size_t> trial_at = swapped(work_at, m, p);
+              Configuration trial = materialize(trial_at);
               if (ChargedBytes(trial) <= budget_bytes) {
-                const double cost = trial_cost(trial);
+                const double cost = trial_cost(trial, trial_at);
                 if (cost < fit_swap_cost) {
                   fit_swap_cost = cost;
                   fit_swap = std::move(trial);
+                  fit_swap_at = std::move(trial_at);
                 }
-              } else if (member.bytes - repl_est.bytes > reduce_amount) {
-                reduce_amount = member.bytes - repl_est.bytes;
-                reduce_member = m;
-                reduce_repl = p;
+              } else if (member_bytes - repl_bytes > reduce_amount) {
+                reduce_amount = member_bytes - repl_bytes;
+                reduce_member = static_cast<int>(m);
+                reduce_repl = static_cast<int>(p);
               }
             }
           }
@@ -312,13 +368,14 @@ Configuration Advisor::Enumerate(
             if (fit_swap_cost < best_recovered_cost) {
               best_recovered_cost = fit_swap_cost;
               best_recovered = std::move(fit_swap);
+              best_recovered_at = std::move(fit_swap_at);
             }
             break;
           }
           if (reduce_member < 0) break;  // no further swaps possible
-          const std::string gone = members[reduce_member].def.Signature();
-          work.Remove(gone);
-          work.Add(size_of(pool[reduce_repl]));
+          work_at = swapped(work_at, static_cast<size_t>(reduce_member),
+                            static_cast<size_t>(reduce_repl));
+          work = materialize(work_at);
         }
         if (options_.trace) {
           std::fprintf(stderr, "[enum] backtrack: recovered=%s cost=%.1f vs fit=%.1f cur=%.1f\n",
@@ -327,7 +384,8 @@ Configuration Advisor::Enumerate(
         }
         if (best_recovered.size() > 0 &&
             best_recovered_cost < std::min(best_fit_cost, current_cost)) {
-          config = best_recovered;
+          config = std::move(best_recovered);
+          members = std::move(best_recovered_at);
           current_cost = best_recovered_cost;
           continue;
         }
@@ -335,7 +393,8 @@ Configuration Advisor::Enumerate(
     }
 
     if (best_fit < 0) break;
-    config.Add(size_of(pool[best_fit]));
+    config.Add(*est[best_fit]);
+    members.push_back(static_cast<size_t>(best_fit));
     current_cost = best_fit_cost;
   }
   return config;
@@ -377,8 +436,7 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   // warm-up for the first enumeration step.
   std::unique_ptr<StatementCostCache> cost_cache;
   if (options_.cost_cache) {
-    cost_cache =
-        std::make_unique<StatementCostCache>(*db_, *optimizer_, workload);
+    cost_cache = std::make_unique<StatementCostCache>(*optimizer_, workload);
   }
 
   // 3. Per-query candidate selection (top-k or skyline).

@@ -113,8 +113,6 @@ class Advisor {
                       StatementCostCache* cost_cache,
                       AdvisorResult* result) const;
 
-  bool CanAdd(const Configuration& config, const IndexDef& def) const;
-
   // Cooperative cancellation / progress plumbing (no-ops when the options
   // leave them unset).
   bool CancelRequested() const;

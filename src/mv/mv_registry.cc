@@ -192,18 +192,25 @@ std::optional<MVMatcher::MVAccess> MVRegistry::Match(
   // Each MV predicate must be pinned by an identical query predicate (else
   // the MV may exclude rows the query needs); remaining query predicates
   // must be on group-by columns so they can be applied on the MV output.
-  std::vector<ColumnFilter> residual;
+  // Predicates compare by their rendering, each rendered once.
+  std::vector<std::string> query_preds, mv_preds;
   for (const ColumnFilter& qp : query.predicates) {
-    const bool pinned = std::any_of(
-        def->predicates.begin(), def->predicates.end(),
-        [&](const ColumnFilter& mp) { return mp.ToString() == qp.ToString(); });
-    if (!pinned) residual.push_back(qp);
+    query_preds.push_back(qp.ToString());
   }
   for (const ColumnFilter& mp : def->predicates) {
-    const bool matched = std::any_of(
-        query.predicates.begin(), query.predicates.end(),
-        [&](const ColumnFilter& qp) { return qp.ToString() == mp.ToString(); });
-    if (!matched) return std::nullopt;
+    mv_preds.push_back(mp.ToString());
+  }
+  auto contains = [](const std::vector<std::string>& v, const std::string& s) {
+    return std::find(v.begin(), v.end(), s) != v.end();
+  };
+  std::vector<ColumnFilter> residual;
+  for (size_t i = 0; i < query.predicates.size(); ++i) {
+    if (!contains(mv_preds, query_preds[i])) {
+      residual.push_back(query.predicates[i]);
+    }
+  }
+  for (const std::string& mp : mv_preds) {
+    if (!contains(query_preds, mp)) return std::nullopt;
   }
   for (const ColumnFilter& rp : residual) {
     const bool on_group =

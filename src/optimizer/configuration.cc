@@ -6,9 +6,27 @@
 
 namespace capd {
 
+namespace {
+
+// Field-wise signature equality: the duplicate check below runs on every
+// Add of the advisor's search, so it renders no signatures.
+bool SameIndex(const IndexDef& a, const IndexDef& b) {
+  if (a.object != b.object || a.clustered != b.clustered ||
+      a.compression != b.compression || a.key_columns != b.key_columns ||
+      a.include_columns != b.include_columns ||
+      a.filter.has_value() != b.filter.has_value()) {
+    return false;
+  }
+  return !a.filter.has_value() || a.filter->ToString() == b.filter->ToString();
+}
+
+}  // namespace
+
 void Configuration::Add(PhysicalIndexEstimate idx) {
-  CAPD_CHECK(!Contains(idx.def.Signature()))
-      << "duplicate index in configuration: " << idx.def.ToString();
+  for (const PhysicalIndexEstimate& member : indexes_) {
+    CAPD_CHECK(!SameIndex(member.def, idx.def))
+        << "duplicate index in configuration: " << idx.def.ToString();
+  }
   indexes_.push_back(std::move(idx));
 }
 

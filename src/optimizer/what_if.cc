@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -97,43 +96,147 @@ double WhatIfOptimizer::Selectivity(
   return sel;
 }
 
-PlanCost WhatIfOptimizer::HeapScanCost(
-    const std::string& table, const std::vector<ColumnFilter>& preds) const {
-  (void)preds;  // a heap scan always reads everything
-  const Table& t = db_->table(table);
-  PlanCost cost;
-  cost.io = params_.seq_page_io * static_cast<double>(t.HeapPages());
-  cost.cpu = params_.cpu_per_tuple_read * static_cast<double>(t.num_rows());
-  cost.access_path = "heap scan(" + table + ")";
-  return cost;
+// One costed access or plan and, for CostWithPlan, what it was.
+struct WhatIfOptimizer::Choice {
+  enum class Kind : uint8_t { kHeap, kScan, kSeek, kSeekLookup, kMV };
+  double io = 0.0;
+  double cpu = 0.0;
+  Kind kind = Kind::kHeap;
+  size_t member = 0;  // configuration position of the index used
+
+  double total() const { return io + cpu; }
+};
+
+WhatIfOptimizer::StatementFacts WhatIfOptimizer::PrepareStatement(
+    const Statement& stmt) const {
+  StatementFacts facts;
+  facts.type = stmt.type;
+  switch (stmt.type) {
+    case StatementType::kSelect: {
+      const SelectQuery& q = stmt.select;
+      auto table_of = [&](const std::string& name) -> size_t {
+        for (size_t i = 0; i < facts.tables.size(); ++i) {
+          if (facts.tables[i].table == name) return i;
+        }
+        TableFacts tf;
+        tf.table = name;
+        tf.preds = q.PredicatesOn(name, *db_);
+        tf.pred_sel.reserve(tf.preds.size());
+        for (const ColumnFilter& p : tf.preds) {
+          tf.pred_sel.push_back(FilterSelectivity(name, p));
+        }
+        tf.cols_used = q.ColumnsUsedOn(name, *db_);
+        const Table& t = db_->table(name);
+        tf.heap_io = params_.seq_page_io * static_cast<double>(t.HeapPages());
+        tf.heap_cpu =
+            params_.cpu_per_tuple_read * static_cast<double>(t.num_rows());
+        facts.tables.push_back(std::move(tf));
+        return facts.tables.size() - 1;
+      };
+      table_of(q.table);
+      double root_sel = 1.0;
+      for (double s : facts.tables[0].pred_sel) root_sel *= s;
+      facts.root_rows =
+          static_cast<double>(db_->table(q.table).num_rows()) * root_sel;
+      for (const JoinClause& j : q.joins) {
+        JoinFacts jf;
+        jf.table = table_of(j.dim_table);
+        jf.dim_rows = static_cast<double>(db_->table(j.dim_table).num_rows());
+        jf.dim_cols = facts.tables[jf.table].cols_used.size();
+        facts.joins.push_back(jf);
+      }
+      facts.grouped = !q.group_by.empty() || !q.aggregates.empty();
+      break;
+    }
+    case StatementType::kInsert: {
+      const InsertStatement& ins = stmt.insert;
+      TableFacts tf;
+      tf.table = ins.table;
+      facts.tables.push_back(std::move(tf));
+      const double rows = static_cast<double>(ins.num_rows);
+      facts.insert_rows = rows;
+      // Heap (or clustered index) append.
+      const double heap_row_bytes =
+          db_->table(ins.table).schema().RowWidth() + kRowOverhead;
+      facts.insert_io =
+          params_.seq_page_io * rows * heap_row_bytes / kPageCapacity;
+      facts.insert_cpu = params_.cpu_per_tuple_write * rows;
+      break;
+    }
+  }
+  return facts;
 }
 
-std::optional<PlanCost> WhatIfOptimizer::IndexAccessCost(
-    const SelectQuery& q, const std::string& table,
-    const PhysicalIndexEstimate& idx, const std::vector<ColumnFilter>& preds,
-    const std::vector<std::string>& cols_used) const {
-  (void)q;
-  if (idx.def.object != table) return std::nullopt;
+WhatIfOptimizer::IndexFacts WhatIfOptimizer::PrepareIndex(
+    const Statement& stmt, const StatementFacts& facts,
+    const IndexDef& idx) const {
+  IndexFacts f;
+  f.beta = params_.Beta(idx.compression);
+  f.alpha = params_.Alpha(idx.compression);
+  const bool on_table = db_->HasTable(idx.object);
+
+  if (stmt.type == StatementType::kInsert) {
+    const std::string& table = facts.tables.front().table;
+    if (idx.object == table) {
+      f.upkeep = IndexFacts::Upkeep::kTable;
+      if (idx.filter.has_value()) {
+        f.enter_frac = FilterSelectivity(table, *idx.filter);
+      }
+    } else if (mv_matcher_ != nullptr &&
+               mv_matcher_->FactTableOf(idx.object) == table) {
+      // Indexes on MVs over this fact table must be maintained too.
+      f.upkeep = IndexFacts::Upkeep::kMV;
+    }
+    f.relevant = f.upkeep != IndexFacts::Upkeep::kNone;
+    return f;
+  }
+
+  const SelectQuery& q = stmt.select;
+  // Any index may answer the whole query from an MV. An index on an MV
+  // stays relevant to every SELECT whenever a matcher is set.
+  if (mv_matcher_ != nullptr) {
+    f.mv = mv_matcher_->Match(idx, q);
+    if (!on_table || f.mv.has_value()) f.relevant = true;
+  }
+  for (size_t i = 0; i < facts.tables.size(); ++i) {
+    if (facts.tables[i].table == idx.object) f.table = static_cast<int>(i);
+  }
+  if (!on_table || f.table < 0) return f;
+  const TableFacts& tf = facts.tables[static_cast<size_t>(f.table)];
+  f.clustered = idx.clustered;
+
+  // Index nested loops: the join's dimension key leads an unfiltered index.
+  if (!idx.filter.has_value() && !idx.key_columns.empty()) {
+    for (size_t j = 0; j < facts.joins.size(); ++j) {
+      if (facts.joins[j].table != static_cast<size_t>(f.table) ||
+          idx.key_columns[0] != q.joins[j].dim_key) {
+        continue;
+      }
+      f.nl_join.resize(facts.joins.size());
+      f.nl_join[j] = 1;
+    }
+  }
 
   // Partial index: usable only when the query cannot need rows outside it.
   double filter_sel = 1.0;
-  if (idx.def.filter.has_value()) {
-    if (!PredicatesSubsumeFilter(preds, *idx.def.filter)) return std::nullopt;
-    filter_sel = FilterSelectivity(table, *idx.def.filter);
+  bool subsumed = true;
+  if (idx.filter.has_value()) {
+    subsumed = PredicatesSubsumeFilter(tf.preds, *idx.filter);
+    if (subsumed) filter_sel = FilterSelectivity(tf.table, *idx.filter);
   }
 
-  const Schema& base = db_->table(table).schema();
-  const std::vector<std::string> stored = idx.def.StoredColumns(base);
-  const bool covering = std::all_of(
-      cols_used.begin(), cols_used.end(),
+  const std::vector<std::string> stored =
+      idx.StoredColumns(db_->table(tf.table).schema());
+  f.covering = std::all_of(
+      tf.cols_used.begin(), tf.cols_used.end(),
       [&stored](const std::string& c) { return Contains(stored, c); });
 
   // Selectivity of a predicate *within the index's population*: for the
   // partial-index filter column the filter is already applied, so condition
   // on it; other columns are treated as independent of the filter.
-  auto sel_in_index = [&](const ColumnFilter& p) {
-    double s = FilterSelectivity(table, p);
-    if (idx.def.filter.has_value() && p.column == idx.def.filter->column &&
+  auto sel_in_index = [&](size_t p) {
+    double s = tf.pred_sel[p];
+    if (idx.filter.has_value() && tf.preds[p].column == idx.filter->column &&
         filter_sel > 0.0) {
       s = std::min(1.0, s / filter_sel);
     }
@@ -143,70 +246,71 @@ std::optional<PlanCost> WhatIfOptimizer::IndexAccessCost(
   // Fraction of index entries reached through the sargable key prefix. A
   // BITMAP structure keys per-value bitmaps, so only equality predicates
   // seek it — range predicates fall through to the covering-scan path.
-  const bool bitmap = idx.def.compression == CompressionKind::kBitmap;
-  double prefix_frac = 1.0;
-  size_t sargable = 0;
-  for (const std::string& key_col : idx.def.key_columns) {
+  f.bitmap = idx.compression == CompressionKind::kBitmap;
+  for (const std::string& key_col : idx.key_columns) {
     bool found = false;
-    for (const ColumnFilter& p : preds) {
-      if (p.column != key_col) continue;
-      if (bitmap && p.op != FilterOp::kEq) continue;
-      prefix_frac *= sel_in_index(p);
+    for (size_t p = 0; p < tf.preds.size(); ++p) {
+      if (tf.preds[p].column != key_col) continue;
+      if (f.bitmap && tf.preds[p].op != FilterOp::kEq) continue;
+      f.prefix_frac *= sel_in_index(p);
       found = true;
       break;
     }
     if (!found) break;
-    ++sargable;
+    ++f.sargable;
   }
-  const bool seekable = sargable > 0;
-  if (!seekable && !covering) return std::nullopt;
+  f.usable = subsumed && (f.sargable > 0 || f.covering);
 
   // Fraction of index entries satisfying every predicate resolvable inside
   // the index (these survive to the RID-lookup stage).
-  double stored_frac = 1.0;
-  for (const ColumnFilter& p : preds) {
-    if (Contains(stored, p.column)) stored_frac *= sel_in_index(p);
+  for (size_t p = 0; p < tf.preds.size(); ++p) {
+    if (Contains(stored, tf.preds[p].column)) f.stored_frac *= sel_in_index(p);
   }
+  f.used_in_index = static_cast<size_t>(std::count_if(
+      tf.cols_used.begin(), tf.cols_used.end(),
+      [&stored](const std::string& c) { return Contains(stored, c); }));
 
-  const double tuples = std::max(idx.tuples, 1.0);
-  const double pages = std::max(idx.pages(), 1.0);
-  const size_t used_in_index =
-      static_cast<size_t>(std::count_if(cols_used.begin(), cols_used.end(),
-                                        [&stored](const std::string& c) {
-                                          return Contains(stored, c);
-                                        }));
-  const double beta = params_.Beta(idx.def.compression);
+  // A clustered index replaces the heap whether or not it is chosen.
+  if (f.clustered || f.usable || !f.nl_join.empty()) f.relevant = true;
+  return f;
+}
 
-  PlanCost best;
+std::optional<WhatIfOptimizer::Choice> WhatIfOptimizer::IndexAccessCost(
+    const IndexFacts& f, const PhysicalIndexEstimate& size) const {
+  if (!f.usable) return std::nullopt;
+  const double tuples = std::max(size.tuples, 1.0);
+  const double pages = std::max(size.pages(), 1.0);
+
+  Choice best;
   best.io = std::numeric_limits<double>::infinity();
 
-  if (covering) {
-    PlanCost scan;
+  if (f.covering) {
+    Choice scan;
+    scan.kind = Choice::Kind::kScan;
     scan.io = params_.seq_page_io * pages;
     scan.cpu = tuples * (params_.cpu_per_tuple_read +
-                         static_cast<double>(used_in_index) * beta);
-    scan.access_path = "index scan(" + idx.def.ToString() + ")";
+                         static_cast<double>(f.used_in_index) * f.beta);
     if (scan.total() < best.total()) best = scan;
   }
 
-  if (seekable) {
-    const double entries = tuples * prefix_frac;
-    PlanCost seek;
+  if (f.sargable > 0) {
+    const double entries = tuples * f.prefix_frac;
+    Choice seek;
     seek.io = params_.random_page_io * 2.0 +
-              params_.seq_page_io * std::max(1.0, pages * prefix_frac);
+              params_.seq_page_io * std::max(1.0, pages * f.prefix_frac);
     seek.cpu = entries * (params_.cpu_per_tuple_read +
-                          static_cast<double>(used_in_index) * beta);
-    if (bitmap) {
+                          static_cast<double>(f.used_in_index) * f.beta);
+    if (f.bitmap) {
       // One WAH expansion + rank/select AND per sargable equality key.
-      seek.cpu += params_.bitmap_probe_cpu * static_cast<double>(sargable);
+      seek.cpu += params_.bitmap_probe_cpu * static_cast<double>(f.sargable);
     }
-    if (!covering) {
-      const double lookups = tuples * std::min(1.0, stored_frac);
+    if (!f.covering) {
+      const double lookups = tuples * std::min(1.0, f.stored_frac);
       seek.io += params_.random_page_io * lookups;
       seek.cpu += params_.cpu_per_tuple_read * lookups;
-      seek.access_path = "index seek+lookup(" + idx.def.ToString() + ")";
+      seek.kind = Choice::Kind::kSeekLookup;
     } else {
-      seek.access_path = "index seek(" + idx.def.ToString() + ")";
+      seek.kind = Choice::Kind::kSeek;
     }
     if (seek.total() < best.total()) best = seek;
   }
@@ -215,158 +319,190 @@ std::optional<PlanCost> WhatIfOptimizer::IndexAccessCost(
   return best;
 }
 
-PlanCost WhatIfOptimizer::BestTableAccess(const SelectQuery& q,
-                                          const std::string& table,
-                                          const Configuration& config) const {
-  const std::vector<ColumnFilter> preds = q.PredicatesOn(table, *db_);
-  const std::vector<std::string> cols_used = q.ColumnsUsedOn(table, *db_);
-
-  PlanCost best;
+WhatIfOptimizer::Choice WhatIfOptimizer::BestTableAccess(
+    const StatementFacts& facts, size_t table, const Configuration& config,
+    const std::vector<const IndexFacts*>& index_facts) const {
+  const std::vector<PhysicalIndexEstimate>& members = config.indexes();
+  const int on = static_cast<int>(table);
+  bool heap = true;  // the heap exists unless a clustered index replaced it
+  for (const IndexFacts* f : index_facts) {
+    if (f->table == on && f->clustered) heap = false;
+  }
+  Choice best;
   bool have = false;
-  // The heap exists unless a clustered index replaced it.
-  if (!config.HasClusteredOn(table)) {
-    best = HeapScanCost(table, preds);
+  if (heap) {
+    best.io = facts.tables[table].heap_io;
+    best.cpu = facts.tables[table].heap_cpu;
     have = true;
   }
-  for (const PhysicalIndexEstimate* idx : config.IndexesOn(table)) {
-    std::optional<PlanCost> c = IndexAccessCost(q, table, *idx, preds, cols_used);
+  for (size_t k = 0; k < members.size(); ++k) {
+    if (index_facts[k]->table != on) continue;
+    std::optional<Choice> c = IndexAccessCost(*index_facts[k], members[k]);
     if (c.has_value() && (!have || c->total() < best.total())) {
       best = *c;
+      best.member = k;
       have = true;
     }
   }
-  CAPD_CHECK(have) << "no access path for table " << table
+  CAPD_CHECK(have) << "no access path for table " << facts.tables[table].table
                    << " (clustered index removed the heap but is unusable?)";
   return best;
 }
 
-PlanCost WhatIfOptimizer::CostSelect(const SelectQuery& q,
-                                     const Configuration& config) const {
-  // Base relational plan: root access + one join at a time.
-  PlanCost plan = BestTableAccess(q, q.table, config);
-  const double root_sel = Selectivity(q.table, q.PredicatesOn(q.table, *db_));
-  const double root_rows =
-      static_cast<double>(db_->table(q.table).num_rows()) * root_sel;
+PlanCost WhatIfOptimizer::Assemble(
+    const StatementFacts& facts, const Configuration& config,
+    const std::vector<const IndexFacts*>& index_facts,
+    std::string* path) const {
+  const std::vector<PhysicalIndexEstimate>& members = config.indexes();
+  CAPD_CHECK(index_facts.size() == members.size());
+  PlanCost out;
 
-  for (const JoinClause& j : q.joins) {
-    const PlanCost dim_scan = BestTableAccess(q, j.dim_table, config);
-    const double dim_rows = static_cast<double>(db_->table(j.dim_table).num_rows());
+  if (facts.type == StatementType::kInsert) {
+    const double rows = facts.insert_rows;
+    out.io = facts.insert_io;
+    out.cpu = facts.insert_cpu;
+    for (size_t k = 0; k < members.size(); ++k) {
+      const IndexFacts& f = *index_facts[k];
+      const PhysicalIndexEstimate& idx = members[k];
+      if (f.upkeep == IndexFacts::Upkeep::kMV) {
+        // Each inserted row updates one group (count/sums) in the MV.
+        out.cpu += rows * (params_.cpu_per_tuple_write + f.alpha);
+        const double pages = std::max(idx.pages(), 1.0);
+        const double touched = pages * (1.0 - std::exp(-rows / pages));
+        out.io += params_.random_page_io * touched *
+                  params_.index_maintenance_io_factor;
+      } else if (f.upkeep == IndexFacts::Upkeep::kTable) {
+        const double rows_idx = rows * f.enter_frac;
+        // CPUCost_update = BaseCPUCost + alpha * #tuples_written (A.1).
+        out.cpu += rows_idx * (params_.cpu_per_tuple_write + f.alpha);
+        // Sequential write volume of the new entries...
+        const double bytes_per_tuple = idx.bytes / std::max(idx.tuples, 1.0);
+        out.io += params_.seq_page_io * rows_idx * bytes_per_tuple /
+                  kPageCapacity;
+        // ...plus scattered B-tree leaf maintenance, damped by buffer-pool
+        // hits.
+        const double pages = std::max(idx.pages(), 1.0);
+        const double touched = pages * (1.0 - std::exp(-rows_idx / pages));
+        out.io += params_.random_page_io * touched *
+                  params_.index_maintenance_io_factor;
+      }
+    }
+    if (path != nullptr) {
+      *path = "bulk insert(" + facts.tables.front().table + ")";
+    }
+    return out;
+  }
+
+  // Base relational plan: root access + one join at a time.
+  Choice plan = BestTableAccess(facts, 0, config, index_facts);
+  const double root_rows = facts.root_rows;
+  for (size_t j = 0; j < facts.joins.size(); ++j) {
+    const JoinFacts& jf = facts.joins[j];
     // Hash join: build on the dimension side, probe with root rows.
-    PlanCost hash = dim_scan;
-    hash.cpu += params_.cpu_per_tuple_read * (dim_rows + root_rows);
+    Choice hash = BestTableAccess(facts, jf.table, config, index_facts);
+    hash.cpu += params_.cpu_per_tuple_read * (jf.dim_rows + root_rows);
 
     // Index nested loops: per-row seek into a dimension index keyed on the
     // join key, if the configuration has one.
-    PlanCost nl;
+    Choice nl;
     nl.io = std::numeric_limits<double>::infinity();
-    for (const PhysicalIndexEstimate* idx : config.IndexesOn(j.dim_table)) {
-      if (idx->def.key_columns.empty() || idx->def.key_columns[0] != j.dim_key)
-        continue;
-      if (idx->def.filter.has_value()) continue;
-      PlanCost c;
+    for (const IndexFacts* f : index_facts) {
+      if (f->nl_join.empty() || f->nl_join[j] == 0) continue;
+      Choice c;
       c.io = root_rows * params_.random_page_io;
-      const double beta = params_.Beta(idx->def.compression);
-      const std::vector<std::string> dim_cols = q.ColumnsUsedOn(j.dim_table, *db_);
       c.cpu = root_rows * (params_.cpu_per_tuple_read +
-                           static_cast<double>(dim_cols.size()) * beta);
-      c.access_path = "index NL(" + idx->def.ToString() + ")";
+                           static_cast<double>(jf.dim_cols) * f->beta);
       if (c.total() < nl.total()) nl = c;
     }
 
-    const PlanCost& join = nl.total() < hash.total() ? nl : hash;
+    const Choice& join = nl.total() < hash.total() ? nl : hash;
     plan.io += join.io;
     plan.cpu += join.cpu;
   }
 
   // Grouping/aggregation/output CPU.
-  if (!q.group_by.empty() || !q.aggregates.empty()) {
-    plan.cpu += params_.cpu_per_tuple_read * root_rows;
-  }
+  if (facts.grouped) plan.cpu += params_.cpu_per_tuple_read * root_rows;
 
   // Alternative: answer the whole query from an MV index.
-  if (mv_matcher_ != nullptr) {
-    for (const PhysicalIndexEstimate& idx : config.indexes()) {
-      std::optional<MVMatcher::MVAccess> access = mv_matcher_->Match(idx.def, q);
-      if (!access.has_value()) continue;
-      PlanCost mv_plan;
-      const double mv_pages = std::max(idx.pages(), 1.0);
-      const double frac = access->selected_frac;
-      if (access->leading_key_seek && frac < 1.0) {
-        mv_plan.io = params_.random_page_io * 2.0 +
-                     params_.seq_page_io * std::max(1.0, mv_pages * frac);
-      } else {
-        mv_plan.io = params_.seq_page_io * mv_pages;
-      }
-      const double beta = params_.Beta(idx.def.compression);
-      mv_plan.cpu = access->mv_tuples * frac *
-                    (params_.cpu_per_tuple_read +
-                     static_cast<double>(access->used_columns) * beta);
-      mv_plan.access_path = "MV " + idx.def.ToString();
-      if (mv_plan.total() < plan.total()) plan = mv_plan;
+  for (size_t k = 0; k < members.size(); ++k) {
+    const IndexFacts& f = *index_facts[k];
+    if (!f.mv.has_value()) continue;
+    Choice mv_plan;
+    mv_plan.kind = Choice::Kind::kMV;
+    mv_plan.member = k;
+    const double mv_pages = std::max(members[k].pages(), 1.0);
+    const double frac = f.mv->selected_frac;
+    if (f.mv->leading_key_seek && frac < 1.0) {
+      mv_plan.io = params_.random_page_io * 2.0 +
+                   params_.seq_page_io * std::max(1.0, mv_pages * frac);
+    } else {
+      mv_plan.io = params_.seq_page_io * mv_pages;
+    }
+    mv_plan.cpu = f.mv->mv_tuples * frac *
+                  (params_.cpu_per_tuple_read +
+                   static_cast<double>(f.mv->used_columns) * f.beta);
+    if (mv_plan.total() < plan.total()) plan = mv_plan;
+  }
+
+  out.io = plan.io;
+  out.cpu = plan.cpu;
+  if (path != nullptr) {
+    const std::string def = plan.kind == Choice::Kind::kHeap
+                                ? ""
+                                : members[plan.member].def.ToString();
+    switch (plan.kind) {
+      case Choice::Kind::kHeap:
+        *path = "heap scan(" + facts.tables.front().table + ")";
+        break;
+      case Choice::Kind::kScan:
+        *path = "index scan(" + def + ")";
+        break;
+      case Choice::Kind::kSeek:
+        *path = "index seek(" + def + ")";
+        break;
+      case Choice::Kind::kSeekLookup:
+        *path = "index seek+lookup(" + def + ")";
+        break;
+      case Choice::Kind::kMV:
+        *path = "MV " + def;
+        break;
     }
   }
-  return plan;
+  return out;
 }
 
-PlanCost WhatIfOptimizer::CostInsert(const InsertStatement& ins,
-                                     const Configuration& config) const {
-  const Table& t = db_->table(ins.table);
-  const double rows = static_cast<double>(ins.num_rows);
-  PlanCost plan;
-  plan.access_path = "bulk insert(" + ins.table + ")";
+double WhatIfOptimizer::CostPrepared(
+    const StatementFacts& facts, const Configuration& config,
+    const std::vector<const IndexFacts*>& index_facts) const {
+  return Assemble(facts, config, index_facts, nullptr).total();
+}
 
-  // Heap (or clustered index) append.
-  const double heap_row_bytes = t.schema().RowWidth() + kRowOverhead;
-  plan.io = params_.seq_page_io * rows * heap_row_bytes / kPageCapacity;
-  plan.cpu = params_.cpu_per_tuple_write * rows;
-
+PlanCost WhatIfOptimizer::CostOnTheSpot(const Statement& stmt,
+                                        const Configuration& config,
+                                        std::string* path) const {
+  const StatementFacts facts = PrepareStatement(stmt);
+  std::vector<IndexFacts> index_facts;
+  index_facts.reserve(config.size());
   for (const PhysicalIndexEstimate& idx : config.indexes()) {
-    if (idx.def.object != ins.table) {
-      // Indexes on MVs over this fact table must be maintained too: each
-      // inserted row updates one group (count/sums) in the MV.
-      if (mv_matcher_ != nullptr &&
-          mv_matcher_->FactTableOf(idx.def.object) == ins.table) {
-        const double alpha = params_.Alpha(idx.def.compression);
-        plan.cpu += rows * (params_.cpu_per_tuple_write + alpha);
-        const double pages = std::max(idx.pages(), 1.0);
-        const double touched = pages * (1.0 - std::exp(-rows / pages));
-        plan.io += params_.random_page_io * touched * params_.index_maintenance_io_factor;
-      }
-      continue;
-    }
-    double enter_frac = 1.0;
-    if (idx.def.filter.has_value()) {
-      enter_frac = FilterSelectivity(ins.table, *idx.def.filter);
-    }
-    const double rows_idx = rows * enter_frac;
-    const double alpha = params_.Alpha(idx.def.compression);
-    // CPUCost_update = BaseCPUCost + alpha * #tuples_written (Appendix A.1).
-    plan.cpu += rows_idx * (params_.cpu_per_tuple_write + alpha);
-    // Sequential write volume of the new entries...
-    const double bytes_per_tuple = idx.bytes / std::max(idx.tuples, 1.0);
-    plan.io += params_.seq_page_io * rows_idx * bytes_per_tuple / kPageCapacity;
-    // ...plus scattered B-tree leaf maintenance, damped by buffer-pool hits.
-    const double pages = std::max(idx.pages(), 1.0);
-    const double touched = pages * (1.0 - std::exp(-rows_idx / pages));
-    plan.io += params_.random_page_io * touched * params_.index_maintenance_io_factor;
+    index_facts.push_back(PrepareIndex(stmt, facts, idx.def));
   }
-  return plan;
+  std::vector<const IndexFacts*> ptrs;
+  ptrs.reserve(index_facts.size());
+  for (const IndexFacts& f : index_facts) ptrs.push_back(&f);
+  return Assemble(facts, config, ptrs, path);
 }
 
 PlanCost WhatIfOptimizer::CostWithPlan(const Statement& stmt,
                                        const Configuration& config) const {
-  switch (stmt.type) {
-    case StatementType::kSelect:
-      return CostSelect(stmt.select, config);
-    case StatementType::kInsert:
-      return CostInsert(stmt.insert, config);
-  }
-  return PlanCost{};
+  std::string path;
+  PlanCost plan = CostOnTheSpot(stmt, config, &path);
+  plan.access_path = std::move(path);
+  return plan;
 }
 
 double WhatIfOptimizer::Cost(const Statement& stmt,
                              const Configuration& config) const {
-  return CostWithPlan(stmt, config).total();
+  return CostOnTheSpot(stmt, config, nullptr).total();
 }
 
 double WhatIfOptimizer::WorkloadCost(const Workload& workload,

@@ -47,7 +47,7 @@ class CandidateSelectionTest : public ::testing::Test {
     Advisor advisor(db_, *optimizer_, estimator_.get(), mvs_.get(), options);
     std::unique_ptr<StatementCostCache> cache;
     if (with_cache) {
-      cache = std::make_unique<StatementCostCache>(db_, *optimizer_, w);
+      cache = std::make_unique<StatementCostCache>(*optimizer_, w);
     }
     return advisor.SelectCandidates(w, candidates_, sizes_, cache.get(),
                                     nullptr);

@@ -1,5 +1,6 @@
 // Tests for the compression-aware what-if optimizer (Appendix A model).
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -239,6 +240,49 @@ TEST_F(OptimizerTest, WorkloadCostWeightsStatements) {
   const Configuration empty;
   EXPECT_DOUBLE_EQ(optimizer_->WorkloadCost(w, empty),
                    3.0 * optimizer_->Cost(w.statements[0], empty));
+}
+
+TEST_F(OptimizerTest, PlanTotalEqualsCostBitForBit) {
+  // CostWithPlan renders the access path; Cost renders nothing. Both must
+  // run the same arithmetic: heap, scan, seek, seek+lookup, clustered,
+  // partial, BITMAP and index-NL plans, and a bulk INSERT.
+  IndexDef clustered = Idx({"l_shipdate"});
+  clustered.clustered = true;
+  clustered.compression = CompressionKind::kPage;
+  IndexDef partial = Idx({"l_quantity"}, {"l_extendedprice"});
+  partial.filter = ColumnFilter{"l_quantity", FilterOp::kLt, Value::Int64(25),
+                                {}};
+  IndexDef bitmap = Idx({"l_shipmode"}, {}, CompressionKind::kBitmap);
+  IndexDef dim_idx;
+  dim_idx.object = "part";
+  dim_idx.key_columns = {"p_partkey"};
+  std::vector<Configuration> configs(4);
+  configs[1].Add(Est(Idx({"l_shipdate"}, {"l_quantity"}), 40 * kPageSize,
+                     2000));
+  configs[1].Add(Est(dim_idx, 5 * kPageSize, 400));
+  configs[2].Add(Est(Idx({"l_partkey"}, {}, CompressionKind::kRow),
+                     8 * kPageSize, 2000));
+  configs[2].Add(Est(partial, 12 * kPageSize, 900));
+  configs[2].Add(Est(bitmap, 3 * kPageSize, 2000));
+  configs[3].Add(Est(clustered, 30 * kPageSize, 2000));
+  configs[3].Add(Est(dim_idx, 5 * kPageSize, 400));
+  const std::vector<Statement> stmts = {
+      Parse("SELECT SUM(l_quantity) FROM lineitem"),
+      Parse("SELECT l_quantity FROM lineitem WHERE l_shipdate >= DATE "
+            "'1999-06-01'"),
+      Parse("SELECT l_extendedprice FROM lineitem WHERE l_quantity < 10"),
+      Parse("SELECT COUNT(l_orderkey) FROM lineitem WHERE l_shipmode = 'AIR'"),
+      Parse("SELECT SUM(l_extendedprice) FROM lineitem JOIN part ON "
+            "l_partkey = p_partkey WHERE l_partkey = 7"),
+      Parse("INSERT INTO lineitem VALUES 500 ROWS")};
+  for (const Configuration& config : configs) {
+    for (const Statement& s : stmts) {
+      const double plan = optimizer_->CostWithPlan(s, config).total();
+      const double cost = optimizer_->Cost(s, config);
+      EXPECT_EQ(std::memcmp(&plan, &cost, sizeof(double)), 0)
+          << config.ToString();
+    }
+  }
 }
 
 TEST_F(OptimizerTest, ConfigurationBookkeeping) {
