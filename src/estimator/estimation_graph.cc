@@ -98,11 +98,11 @@ void EstimationGraph::GenerateDeductionsFor(size_t node_id) {
   }
 
   // --- SortOrder: same column set under a different key order, ORD-DEP
-  // only. The donor's sampled build leaves the materialized sample rows in
-  // the shared caches, so this node's exact-on-sample recompute costs no
-  // further sample I/O. Donor pairs are symmetric; the greedy ready-check
-  // (child must already be known) breaks the tie, so the first member of a
-  // sort-order clique always samples. ---
+  // only. The donor's sampled build pays for drawing the sample, so this
+  // node's exact-on-sample SampleCF run costs no further sample I/O. Donor
+  // pairs are symmetric; the greedy ready-check (child must already be
+  // known) breaks the tie, so the first member of a sort-order clique
+  // always samples. ---
   if (enable_sort_order_ && IsOrderDependent(def.compression)) {
     const std::string colset_sig = def.ColumnSetSignature(base);
     for (size_t j = 0; j < nodes_.size(); ++j) {
@@ -508,31 +508,44 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
     return "scf|" + signature;
   };
 
-  // Phase 1: SAMPLED nodes are independent of each other — these are the
-  // leaves of every deduction chain and carry the index-build cost, so
-  // they are the parallel section. Compression variants of one structure
-  // are grouped so they share the materialized sample rows and the
-  // uncompressed reference pack (one materialize, N compressed packs);
-  // existing (catalog-served) nodes stay singleton groups. Leaves already
-  // in the cross-round cache at exactly this fraction are served up front
-  // and skip the build entirely.
+  // A kSortOrder node is a SampleCF run on its own definition over the
+  // sample its donor already paid for: its result depends on (def, f)
+  // alone, so it is computed with the leaves, at zero cost.
+  auto sort_order_deduced = [this](const IndexNode& node) {
+    return node.state == NodeState::kDeduced &&
+           deductions_[node.chosen_deduction].type ==
+               DeductionType::kSortOrder;
+  };
+
+  // Phase 1: SAMPLED and kSortOrder nodes are independent of each other —
+  // these are the leaves of every deduction chain and carry the index-build
+  // cost, so they are the parallel section. Nodes of one structure
+  // (compression variants of one key order) are grouped so they share the
+  // materialized sample rows, their flat rendering and the uncompressed
+  // reference pack (one materialize, N compressed packs); existing
+  // (catalog-served) nodes stay singleton groups. SAMPLED leaves already in
+  // the cross-round cache at exactly this fraction are served up front and
+  // skip the build entirely; kSortOrder nodes never touch the cache, so its
+  // hits and contents are those of the SAMPLED leaves alone.
   std::vector<std::vector<size_t>> groups;
   std::map<std::string, size_t> group_of;  // structure signature -> group
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].state != NodeState::kSampled) continue;
-    if (nodes_[i].is_existing) {
+    const IndexNode& node = nodes_[i];
+    const bool sort_order = sort_order_deduced(node);
+    if (node.state != NodeState::kSampled && !sort_order) continue;
+    if (node.is_existing) {
       groups.push_back({i});
       continue;
     }
-    const std::string sig = nodes_[i].def.Signature();
-    if (cache != nullptr) {
+    const std::string sig = node.def.Signature();
+    if (cache != nullptr && !sort_order) {
       if (std::optional<SampleCfResult> served = cache->Lookup(leaf_key(sig), f)) {
         results[sig] = *served;
         if (cache_hits != nullptr) ++(*cache_hits);
         continue;
       }
     }
-    const std::string key = nodes_[i].def.StructureSignature();
+    const std::string key = node.def.StructureSignature();
     const auto it = group_of.find(key);
     if (it == group_of.end()) {
       group_of[key] = groups.size();
@@ -584,7 +597,9 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
       const IndexNode& node = nodes_[groups[g][m]];
       const std::string sig = node.def.Signature();
       results[sig] = group_results[g][m];
-      if (cache != nullptr && !node.is_existing) {
+      if (sort_order_deduced(node)) {
+        results[sig].cost_pages = 0.0;  // the donor's build paid the sample
+      } else if (cache != nullptr && !node.is_existing) {
         cache->Insert(leaf_key(sig), f, group_results[g][m]);
       }
     }
@@ -594,13 +609,17 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
   // is expected to discard it (EstimateAll reports the cancellation).
   if (Cancelled()) return results;
 
-  // Phase 2: DEDUCED nodes compose their children's results via the
-  // deduction formulas — cheap arithmetic, run serially in dependency
-  // order: a deduced node runs only after all its children have results
-  // (narrow-to-wide alone cannot order same-width ColSet pairs).
+  // Phase 2: the remaining DEDUCED nodes (kColSet, kColExt) compose their
+  // children's results via the deduction formulas — cheap arithmetic, run
+  // serially in dependency order: a deduced node runs only after all its
+  // children have results (narrow-to-wide alone cannot order same-width
+  // ColSet pairs). kSortOrder nodes got theirs in Phase 1.
   std::vector<size_t> pending;
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].state == NodeState::kDeduced) pending.push_back(i);
+    if (nodes_[i].state == NodeState::kDeduced &&
+        results.count(nodes_[i].def.Signature()) == 0) {
+      pending.push_back(i);
+    }
   }
   std::sort(pending.begin(), pending.end(), [this](size_t a, size_t b) {
     return nodes_[a].num_stored_columns < nodes_[b].num_stored_columns;
@@ -628,14 +647,6 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
     }
     const std::string sig = node.def.Signature();
     const DeductionNode& d = deductions_[node.chosen_deduction];
-    if (d.type == DeductionType::kSortOrder) {
-      // Exact-on-sample recompute: the donor's build already materialized
-      // and cached the sample, so only this node's own pack runs — charged
-      // zero additional sampling I/O. Bit-for-bit equal to fresh sampling
-      // by construction (samples are seeded per cache key).
-      results[sig] = sampler_.EstimateSortOrderDeduced(node.def, f);
-      continue;
-    }
     SampleCfResult r;
     r.est_tuples = sampler_.EstimateFullTuples(node.def, f);
     r.est_uncompressed_bytes =

@@ -25,10 +25,11 @@ enum class NodeState { kNone, kDeduced, kSampled };
 
 // kColSet: ORD-IND same-column-set transfer. kColExt: column partition
 // arithmetic. kSortOrder: ORD-DEP same-column-set, different-key-order
-// sibling — once any sort order of a structure has been sampled (sample rows
-// materialized + cached), every other order is recomputed exactly on that
-// same sample (cost 0 additional sample I/O, SampleCF-accurate by
-// construction) instead of being charged a fresh sampling pass.
+// sibling — once any sort order of a column set is sampled (its sample
+// drawn and paid for), every other order is a full SampleCF run of its own
+// definition on that same sample, charged 0 pages instead of a fresh
+// sampling pass; it is SampleCF-accurate by construction. Execute runs it
+// with the sampled leaves, since its result depends on (def, f) alone.
 enum class DeductionType { kColSet, kColExt, kSortOrder };
 
 struct DeductionNode {
@@ -79,25 +80,28 @@ class EstimationGraph {
   // does").
   bool AssignmentSatisfies(double e, double q, double f) const;
 
-  // Runs the assigned plan: SampleCF for SAMPLED nodes, deduction formulas
-  // for DEDUCED ones. Returns estimates keyed by IndexDef signature
-  // (targets only). Also exposes per-node error stats.
+  // Runs the assigned plan: SampleCF for SAMPLED and kSortOrder-deduced
+  // nodes (the latter with cost_pages 0), deduction formulas for the other
+  // DEDUCED ones. Returns estimates keyed by IndexDef signature (targets
+  // only). Also exposes per-node error stats.
   //
-  // With a pool, the independent SampleCF leaf estimations (the dominant
-  // cost: index builds on samples) run concurrently; their samples are
-  // drawn on the calling thread first. Deduction formulas then compose
-  // serially in dependency order. Output is bit-identical to
-  // the serial path: every node's computation is self-contained and the
-  // shared sample caches seed per key, not per draw order.
+  // The SampleCF runs (the dominant cost: index builds on samples) are
+  // grouped by structure, so nodes of one key order share one
+  // materialization, rendering and uncompressed pack; with a pool the
+  // groups run concurrently, their samples drawn on the calling thread
+  // first. The kColSet/kColExt formulas then compose serially in
+  // dependency order. Output is bit-identical to the serial path: every
+  // node's computation is self-contained and the shared sample caches seed
+  // per key, not per draw order.
   //
   // With a cache, SAMPLED leaves are memoized at exactly (signature, f):
   // a hit skips the index build and a miss fills the cache. Because a
   // SampleCF run at a fixed fraction is a pure function of the definition
   // (samples are seeded per cache key), serving a hit is bit-identical to
   // recomputing — the plan, the chosen fraction, and every estimate match
-  // an uncached run exactly. Deduced values are never cached: they depend
-  // on the batch's plan, not on (signature, f) alone. `cache_hits` (may be
-  // null) is incremented once per served leaf.
+  // an uncached run exactly. Deduced values, kSortOrder ones included, are
+  // never looked up or cached. `cache_hits` (may be null) is incremented
+  // once per served leaf.
   std::map<std::string, SampleCfResult> Execute(double f,
                                                 ThreadPool* pool = nullptr,
                                                 EstimationCache* cache = nullptr,
@@ -138,7 +142,7 @@ class EstimationGraph {
   void GenerateDeductionsFor(size_t node_id);
   // Composed error of deduction `d` for parent node `parent`, given the
   // children's error terms. kSortOrder short-circuits to the parent's own
-  // SampleCf error (execution recomputes on the donor's sample).
+  // SampleCf error (execution runs SampleCF on the donor's sample).
   ErrorStats DeductionError(const DeductionNode& d, size_t parent, double f,
                             std::vector<ErrorStats> child_terms) const;
   void PruneUnused();

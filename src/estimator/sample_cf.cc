@@ -12,13 +12,6 @@ SampleCfResult SampleCfEstimator::Estimate(const IndexDef& def, double f) {
   return EstimateGroup({def}, f).front();
 }
 
-SampleCfResult SampleCfEstimator::EstimateSortOrderDeduced(const IndexDef& def,
-                                                           double f) {
-  SampleCfResult r = Estimate(def, f);
-  r.cost_pages = 0.0;  // the donor's sampled build already paid for the sample
-  return r;
-}
-
 std::vector<SampleCfResult> SampleCfEstimator::EstimateGroup(
     const std::vector<IndexDef>& defs, double f) {
   CAPD_CHECK(!defs.empty());

@@ -95,12 +95,6 @@ class SampleCfEstimator {
   std::vector<SampleCfResult> EstimateGroup(const std::vector<IndexDef>& defs,
                                             double f);
 
-  // Executor of DeductionType::kSortOrder: a sibling sort order of an
-  // already-sampled structure re-packs the same (cached) sample under its
-  // own key order — bit-for-bit identical to a fresh Estimate(), but with
-  // cost_pages forced to 0 because the donor's build paid the sample cost.
-  SampleCfResult EstimateSortOrderDeduced(const IndexDef& def, double f);
-
   // Deterministic uncompressed full size (no sampling needed: fixed row
   // width). `tuples` defaults to the full object row count adjusted by the
   // partial-index filter measured on the sample.

@@ -3,10 +3,17 @@
 // properties across bit densities and run shapes, the BitmapCodec
 // MeasurePage == CompressPage contract and distinct-cap/width death tests,
 // the kSortOrder deduction (sort-order-derived bitmap sizes bit-for-bit
-// equal to fresh sampling, serial == pooled), and the advisor actually
+// equal to fresh sampling at zero cost, serial == pooled, grouped with a
+// sampled codec of the same key order, run inside the parallel fan-out),
+// and the advisor actually
 // choosing a BITMAP structure over the DTAcBoth design under a byte budget.
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -330,6 +337,14 @@ class SortOrderDeductionTest : public ::testing::Test {
             Idx({"l_shipdate", "l_returnflag", "l_shipmode"}, kind)};
   }
 
+  static NodeState StateOf(const EstimationGraph& graph, const IndexDef& def) {
+    for (const IndexNode& node : graph.nodes()) {
+      if (node.def.Signature() == def.Signature()) return node.state;
+    }
+    ADD_FAILURE() << "no node for " << def.ToString();
+    return NodeState::kNone;
+  }
+
   Database db_;
   std::unique_ptr<SampleManager> samples_;
   std::unique_ptr<TableSampleSource> source_;
@@ -350,7 +365,9 @@ TEST_F(SortOrderDeductionTest, DerivedSizesMatchFreshSamplingBitForBit) {
     ASSERT_EQ(estimates.size(), 3u);
 
     // A fresh, independent estimator stack (same seed => same samples)
-    // must produce every estimate bit-for-bit, deduced or sampled.
+    // must produce every estimate bit-for-bit, deduced or sampled. The
+    // sampled target is charged its NONE pack's pages; the deduced ones
+    // ride on that sample and are charged nothing.
     SampleManager fresh_samples(1234);
     TableSampleSource fresh_source(db_, &fresh_samples);
     SampleCfEstimator fresh(db_, &fresh_source);
@@ -361,8 +378,148 @@ TEST_F(SortOrderDeductionTest, DerivedSizesMatchFreshSamplingBitForBit) {
       EXPECT_EQ(got.cf, want.cf) << def.ToString();
       EXPECT_EQ(got.est_tuples, want.est_tuples) << def.ToString();
       EXPECT_EQ(got.est_uncompressed_bytes, want.est_uncompressed_bytes);
+      EXPECT_EQ(got.est_ns_bytes, want.est_ns_bytes) << def.ToString();
+      if (StateOf(graph, def) == NodeState::kSampled) {
+        EXPECT_GT(want.cost_pages, 0.0) << def.ToString();
+        EXPECT_EQ(got.cost_pages, want.cost_pages) << def.ToString();
+      } else {
+        EXPECT_EQ(got.cost_pages, 0.0) << def.ToString();
+      }
     }
   }
+}
+
+TEST_F(SortOrderDeductionTest, SortOrderNodeSharesGroupWithSampledCodec) {
+  // The second key order is deduced under BITMAP and sampled under
+  // PAGE, so Execute runs both in one group: one materialization, one
+  // rendering, one NONE pack. Grouping must not change any result.
+  constexpr double kF = 0.05;
+  std::vector<IndexDef> targets = SortOrderTargets(CompressionKind::kBitmap);
+  const IndexDef shared =
+      Idx({"l_shipmode", "l_shipdate", "l_returnflag"}, CompressionKind::kPage);
+  targets.push_back(shared);
+  auto run = [&](ThreadPool* pool) {
+    SampleManager samples(1234);
+    TableSampleSource source(db_, &samples);
+    EstimationGraph graph(db_, &source, ErrorModel());
+    graph.set_enable_sort_order(true);
+    graph.AddTargets(targets);
+    graph.Greedy(kF, 0.25, 0.9);
+    EXPECT_EQ(StateOf(graph, targets[0]), NodeState::kSampled);
+    EXPECT_EQ(StateOf(graph, targets[1]), NodeState::kDeduced);
+    EXPECT_EQ(StateOf(graph, targets[2]), NodeState::kDeduced);
+    EXPECT_EQ(StateOf(graph, shared), NodeState::kSampled);
+    return graph.Execute(kF, pool);
+  };
+  SampleManager fresh_samples(1234);
+  TableSampleSource fresh_source(db_, &fresh_samples);
+  SampleCfEstimator fresh(db_, &fresh_source);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const auto estimates = run(p);
+    ASSERT_EQ(estimates.size(), targets.size());
+    for (size_t t = 0; t < targets.size(); ++t) {
+      const IndexDef& def = targets[t];
+      SampleCfResult want = fresh.Estimate(def, kF);
+      if (t == 1 || t == 2) want.cost_pages = 0.0;  // kSortOrder-deduced
+      const SampleCfResult& got = estimates.at(def.Signature());
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(want)), 0)
+          << def.ToString() << (p == nullptr ? " serial" : " pooled");
+    }
+  }
+}
+
+TEST_F(SortOrderDeductionTest, SortOrderNodesStayOutOfTheLeafCache) {
+  // Only SAMPLED leaves are memoized, so a second Execute serves exactly
+  // those and still recomputes the deduced sort orders, with equal results.
+  constexpr double kF = 0.05;
+  EstimationCache cache;
+  EstimationGraph graph(db_, source_.get(), ErrorModel());
+  graph.set_enable_sort_order(true);
+  graph.AddTargets(SortOrderTargets(CompressionKind::kBitmap));
+  graph.Greedy(kF, 0.25, 0.9);
+  size_t hits = 0;
+  const auto first = graph.Execute(kF, nullptr, &cache, &hits);
+  EXPECT_EQ(hits, 0u);
+  EXPECT_EQ(cache.size(), graph.NumSampled());
+  for (const IndexDef& def : SortOrderTargets(CompressionKind::kBitmap)) {
+    EXPECT_EQ(cache.Lookup("scf|" + def.Signature(), kF).has_value(),
+              StateOf(graph, def) == NodeState::kSampled)
+        << def.ToString();
+  }
+  const auto second = graph.Execute(kF, nullptr, &cache, &hits);
+  EXPECT_EQ(hits, graph.NumSampled());
+  ASSERT_EQ(second.size(), first.size());
+  for (const auto& [sig, r] : first) {
+    EXPECT_EQ(std::memcmp(&r, &second.at(sig), sizeof(r)), 0) << sig;
+  }
+}
+
+// Counts the SampleCF groups of an Execute in flight at once: each group
+// reads FullTuples once, and while armed a reader waits (up to a timeout)
+// for `expected` readers to arrive.
+class InFlightRecorder : public SampleSource {
+ public:
+  InFlightRecorder(const Database& db, SampleManager* samples)
+      : inner_(db, samples) {}
+
+  void Arm(int expected) {
+    std::lock_guard<std::mutex> lock(mu_);
+    expected_ = expected;
+  }
+  int max_in_flight() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_in_flight_;
+  }
+
+  const Table& Sample(const std::string& object, double f) override {
+    return inner_.Sample(object, f);
+  }
+  uint64_t SampleRows(const std::string& object, double f) override {
+    return inner_.SampleRows(object, f);
+  }
+  double FullTuples(const std::string& object) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++arrived_;
+      max_in_flight_ = std::max(max_in_flight_, ++in_flight_);
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::seconds(2),
+                   [this] { return arrived_ >= expected_; });
+      --in_flight_;
+    }
+    return inner_.FullTuples(object);
+  }
+  const Schema& ObjectSchema(const std::string& object) override {
+    return inner_.ObjectSchema(object);
+  }
+
+ private:
+  TableSampleSource inner_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  int expected_ = 0;
+  int arrived_ = 0;
+  int in_flight_ = 0;
+  int max_in_flight_ = 0;
+};
+
+TEST_F(SortOrderDeductionTest, SortOrderRecomputesRunInsideTheFanOut) {
+  // One sampled key order and two kSortOrder-deduced ones are three
+  // groups; with a pool all three run at once, so none of the deduced
+  // recomputes is left to run serially after the fan-out.
+  constexpr double kF = 0.05;
+  SampleManager samples(1234);
+  InFlightRecorder source(db_, &samples);
+  EstimationGraph graph(db_, &source, ErrorModel());
+  graph.set_enable_sort_order(true);
+  graph.AddTargets(SortOrderTargets(CompressionKind::kBitmap));
+  graph.Greedy(kF, 0.25, 0.9);
+  ASSERT_EQ(graph.NumSortOrderDeduced(), 2u);
+  ThreadPool pool(4);
+  source.Arm(3);
+  EXPECT_EQ(graph.Execute(kF, &pool).size(), 3u);
+  EXPECT_EQ(source.max_in_flight(), 3);
 }
 
 TEST_F(SortOrderDeductionTest, SortOrderDeductionCutsSamplingCost) {
