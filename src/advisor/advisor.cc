@@ -453,19 +453,24 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
     return result;
   }
 
-  // 4. Index merging over the selected pool.
+  // 4. Index merging over the selected pool. A merged index that step 2
+  // already sized keeps that size: one size per signature per Tune.
   const std::vector<IndexDef> merged = generator.MergeCandidates(selected);
-  if (!merged.empty()) {
+  std::vector<IndexDef> unsized;
+  for (const IndexDef& def : merged) {
+    if (sizes.count(def.Signature()) == 0) unsized.push_back(def);
+  }
+  if (!unsized.empty()) {
     t0 = Clock::now();
     const std::map<std::string, PhysicalIndexEstimate> merged_sizes =
-        EstimateSizes(merged, &result);
+        EstimateSizes(unsized, &result);
     result.estimation_ms += millis_since(t0);
-    // A cancel inside the merged batch leaves merged_sizes short; merged
-    // candidates are only admitted when every one of them was sized.
-    if (!CancelRequested()) {
-      for (const IndexDef& def : merged) selected.push_back(def);
-      for (const auto& [sig, est] : merged_sizes) sizes[sig] = est;
-    }
+    sizes.insert(merged_sizes.begin(), merged_sizes.end());
+  }
+  // A cancel inside the merged batch leaves some merged index unsized;
+  // merged candidates are only admitted when every one of them was sized.
+  if (!CancelRequested()) {
+    selected.insert(selected.end(), merged.begin(), merged.end());
   }
   result.num_candidates = selected.size();
   if (options_.trace) {

@@ -508,25 +508,22 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
     return "scf|" + signature;
   };
 
-  // A kSortOrder node is a SampleCF run on its own definition over the
-  // sample its donor already paid for: its result depends on (def, f)
-  // alone, so it is computed with the leaves, at zero cost.
+  // A kSortOrder node's result depends on (def, f) alone: a SampleCF run
+  // on the sample its donor paid for.
   auto sort_order_deduced = [this](const IndexNode& node) {
     return node.state == NodeState::kDeduced &&
            deductions_[node.chosen_deduction].type ==
                DeductionType::kSortOrder;
   };
 
-  // Phase 1: SAMPLED and kSortOrder nodes are independent of each other —
-  // these are the leaves of every deduction chain and carry the index-build
-  // cost, so they are the parallel section. Nodes of one structure
-  // (compression variants of one key order) are grouped so they share the
-  // materialized sample rows, their flat rendering and the uncompressed
-  // reference pack (one materialize, N compressed packs); existing
-  // (catalog-served) nodes stay singleton groups. SAMPLED leaves already in
-  // the cross-round cache at exactly this fraction are served up front and
-  // skip the build entirely; kSortOrder nodes never touch the cache, so its
-  // hits and contents are those of the SAMPLED leaves alone.
+  // Phase 1: SAMPLED and kSortOrder nodes are independent of each other and
+  // carry the index-build cost, so they are the parallel section. Nodes of
+  // one structure (codec variants of one key order) are grouped so they
+  // share the materialized sample rows, their rendering and the NONE pack
+  // (one materialize, N compressed packs); existing (catalog-served) nodes
+  // stay singleton groups. SAMPLED leaves already in the cross-round cache
+  // at exactly this fraction are served up front; kSortOrder nodes never
+  // touch the cache, so its hits and contents stay those of the leaves.
   std::vector<std::vector<size_t>> groups;
   std::map<std::string, size_t> group_of;  // structure signature -> group
   for (size_t i = 0; i < nodes_.size(); ++i) {
@@ -609,11 +606,10 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
   // is expected to discard it (EstimateAll reports the cancellation).
   if (Cancelled()) return results;
 
-  // Phase 2: the remaining DEDUCED nodes (kColSet, kColExt) compose their
-  // children's results via the deduction formulas — cheap arithmetic, run
-  // serially in dependency order: a deduced node runs only after all its
-  // children have results (narrow-to-wide alone cannot order same-width
-  // ColSet pairs). kSortOrder nodes got theirs in Phase 1.
+  // Phase 2: DEDUCED nodes without a result compose their children's
+  // results via the deduction formulas — cheap arithmetic, run serially in
+  // dependency order: a deduced node runs only after all its children have
+  // results (narrow-to-wide alone cannot order same-width ColSet pairs).
   std::vector<size_t> pending;
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].state == NodeState::kDeduced &&

@@ -25,11 +25,10 @@ enum class NodeState { kNone, kDeduced, kSampled };
 
 // kColSet: ORD-IND same-column-set transfer. kColExt: column partition
 // arithmetic. kSortOrder: ORD-DEP same-column-set, different-key-order
-// sibling — once any sort order of a column set is sampled (its sample
-// drawn and paid for), every other order is a full SampleCF run of its own
-// definition on that same sample, charged 0 pages instead of a fresh
-// sampling pass; it is SampleCF-accurate by construction. Execute runs it
-// with the sampled leaves, since its result depends on (def, f) alone.
+// sibling — once any sort order of a column set is sampled, every other
+// order is a SampleCF run of its own definition on that same sample,
+// charged 0 pages instead of a fresh sampling pass (SampleCF-accurate by
+// construction). Execute runs it with the sampled leaves.
 enum class DeductionType { kColSet, kColExt, kSortOrder };
 
 struct DeductionNode {
@@ -80,28 +79,25 @@ class EstimationGraph {
   // does").
   bool AssignmentSatisfies(double e, double q, double f) const;
 
-  // Runs the assigned plan: SampleCF for SAMPLED and kSortOrder-deduced
-  // nodes (the latter with cost_pages 0), deduction formulas for the other
-  // DEDUCED ones. Returns estimates keyed by IndexDef signature (targets
-  // only). Also exposes per-node error stats.
+  // Runs the assigned plan: SampleCF for SAMPLED and kSortOrder nodes (the
+  // latter charged 0 pages), deduction formulas for the other DEDUCED ones.
+  // Returns estimates keyed by IndexDef signature (targets only).
   //
-  // The SampleCF runs (the dominant cost: index builds on samples) are
-  // grouped by structure, so nodes of one key order share one
-  // materialization, rendering and uncompressed pack; with a pool the
-  // groups run concurrently, their samples drawn on the calling thread
-  // first. The kColSet/kColExt formulas then compose serially in
-  // dependency order. Output is bit-identical to the serial path: every
-  // node's computation is self-contained and the shared sample caches seed
-  // per key, not per draw order.
+  // With a pool, the SampleCF runs (the dominant cost: index builds on
+  // samples) run concurrently, one task per structure; their samples are
+  // drawn on the calling thread first. kColSet/kColExt formulas then
+  // compose serially in dependency order. Output is bit-identical to
+  // the serial path: every node's computation is self-contained and the
+  // shared sample caches seed per key, not per draw order.
   //
   // With a cache, SAMPLED leaves are memoized at exactly (signature, f):
   // a hit skips the index build and a miss fills the cache. Because a
   // SampleCF run at a fixed fraction is a pure function of the definition
   // (samples are seeded per cache key), serving a hit is bit-identical to
   // recomputing — the plan, the chosen fraction, and every estimate match
-  // an uncached run exactly. Deduced values, kSortOrder ones included, are
-  // never looked up or cached. `cache_hits` (may be null) is incremented
-  // once per served leaf.
+  // an uncached run exactly. Deduced values are never cached: they depend
+  // on the batch's plan, not on (signature, f) alone. `cache_hits` (may be
+  // null) is incremented once per served leaf.
   std::map<std::string, SampleCfResult> Execute(double f,
                                                 ThreadPool* pool = nullptr,
                                                 EstimationCache* cache = nullptr,

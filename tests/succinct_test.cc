@@ -5,8 +5,8 @@
 // the kSortOrder deduction (sort-order-derived bitmap sizes bit-for-bit
 // equal to fresh sampling at zero cost, serial == pooled, grouped with a
 // sampled codec of the same key order, run inside the parallel fan-out),
-// and the advisor actually
-// choosing a BITMAP structure over the DTAcBoth design under a byte budget.
+// and the advisor actually choosing a BITMAP structure over the DTAcBoth
+// design under a byte budget.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
